@@ -48,18 +48,16 @@ from .evaluate import (
     value_functions,
     value_gap,
     values,
-    weighted_tv_loss,
 )
 from .losses import (
     CompositeMaxLoss,
     OCOConfig,
     OCORun,
     WeightedTVLoss,
-    bc_loss,
     blades_loss,
     malice_loss,
     oco_run,
-    subgradient,
+    weighted_tv_loss,
 )
 from .learners import (
     ExpertOracle,
@@ -67,7 +65,6 @@ from .learners import (
     TrainConfig,
     TrainResult,
     blades_train,
-    expert_query,
     j_bc,
     j_irl,
     malice_train,

@@ -14,8 +14,8 @@ import time
 from pathlib import Path
 
 from . import io
-from .evaluate import evaluate_pair, value_gap, regret_gap
-from .fixtures import alice_lb_game, coverage_lb_game, fig1_game, multi_ce_nfg, random_mg
+from .evaluate import evaluate_pair, occupancy_bundle, regret_gap, value_gap
+from .fixtures import FIXTURES, build_fixture, multi_ce_nfg, random_mg
 from .games import (
     CoverageError,
     DeviationClass,
@@ -25,6 +25,7 @@ from .games import (
 )
 from .harness import ReportRow, run_suite, run_sweep, write_rows
 from .learners import ExpertOracle, TrainConfig, blades_train, j_bc, j_irl, malice_train
+from .losses import weighted_tv_loss
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,8 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="write a named fixture's files to a directory")
-    p_gen.add_argument("--name", required=True,
-                       help="fig1 | coverage-lb | alice-lb | multi-ce-nfg | random")
+    p_gen.add_argument("--name", required=True, choices=(*FIXTURES, "multi-ce-nfg", "random"))
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--horizon", type=int, default=None)
     p_gen.add_argument("--u", type=float, default=None)
@@ -90,19 +90,7 @@ def _cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     name = args.name
     written = []
-    if name == "fig1":
-        fx = fig1_game(args.horizon if args.horizon is not None else 8)
-    elif name == "coverage-lb":
-        fx = coverage_lb_game(args.horizon if args.horizon is not None else 20,
-                              args.u if args.u is not None else 10,
-                              args.beta if args.beta is not None else 0.05,
-                              args.eps if args.eps is not None else 0.001)
-    elif name == "alice-lb":
-        fx = alice_lb_game(args.horizon if args.horizon is not None else 20,
-                           args.u if args.u is not None else 6,
-                           args.beta if args.beta is not None else 0.1,
-                           args.eps if args.eps is not None else 0.005)
-    elif name == "multi-ce-nfg":
+    if name == "multi-ce-nfg":
         fx_r, fx_rp = multi_ce_nfg()
         written.append(io.save_game(fx_r.game, out / "game_r.json"))
         written.append(io.save_game(fx_rp.game, out / "game_rprime.json"))
@@ -110,57 +98,66 @@ def _cmd_gen(args) -> int:
         written.append(io.save_policy(fx_r.learner, out / "learner.json"))
         written.append(io.save_json({"r": fx_r.expected, "rprime": fx_rp.expected},
                                     out / "expected.json"))
-        for p in written:
-            print(p)
-        return EXIT_OK
-    elif name == "random":
-        fx = random_mg(args.seed, n_states=args.states,
-                       horizon=args.horizon if args.horizon is not None else 4,
-                       action_counts=tuple([2] * args.agents),
-                       full_coverage_expert=True)
     else:
-        print(f"unknown fixture name {name!r}", file=sys.stderr)
-        return EXIT_USAGE
-    written.append(io.save_game(fx.game, out / "game.json"))
-    written.append(io.save_policy(fx.expert, out / "expert.json"))
-    written.append(io.save_policy(fx.learner, out / "learner.json"))
-    for k, dev in enumerate(fx.witness_deviations):
-        written.append(io.save_deviation(dev, fx.game, out / f"deviation_{k}.json"))
-    written.append(io.save_json({"expected": fx.expected, "params": fx.params,
-                                 "notes": fx.notes}, out / "expected.json"))
+        if name == "random":
+            fx = random_mg(args.seed, n_states=args.states, action_counts=tuple([2] * args.agents),
+                           full_coverage_expert=True,
+                           **({} if args.horizon is None else {"horizon": args.horizon}))
+        else:
+            fx = build_fixture(name, horizon=args.horizon, u=args.u, beta=args.beta, eps=args.eps)
+        written.append(io.save_game(fx.game, out / "game.json"))
+        written.append(io.save_policy(fx.expert, out / "expert.json"))
+        written.append(io.save_policy(fx.learner, out / "learner.json"))
+        for k, dev in enumerate(fx.witness_deviations):
+            written.append(io.save_deviation(dev, fx.game, out / f"deviation_{k}.json"))
+        written.append(io.save_json({"expected": fx.expected, "params": fx.params,
+                                     "notes": fx.notes}, out / "expected.json"))
     for p in written:
         print(p)
     return EXIT_OK
 
 
-def _load_deviation_class(args, game) -> DeviationClass:
-    if args.deviations == "complete":
-        return DeviationClass.complete(game.num_agents)
-    if not args.deviation_file:
-        raise ValueError("--deviations file needs at least one --deviation-file")
+def _report_violations(tag: str, report) -> bool:
+    for v in report.violations:
+        print(f"{tag} validation: {v}", file=sys.stderr)
+    return not report.ok
+
+
+def _load_inputs(args, *policy_args):
+    """Read and validate --game and the named policy options.
+
+    Prints the violations of the first invalid input and returns None;
+    otherwise returns (game, *policies).
+    """
+    game = io.load_game(args.game)
+    if _report_violations("game", validate_game(game)):
+        return None
+    policies = [io.load_policy(getattr(args, name)) for name in policy_args]
+    if any(_report_violations(name, validate_policy(game, pol))
+           for name, pol in zip(policy_args, policies)):
+        return None
+    return (game, *policies)
+
+
+def _explicit_class(game, paths) -> DeviationClass:
     per_agent = [[] for _ in range(game.num_agents)]
-    for path in args.deviation_file:
+    for path in paths:
         dev = io.load_deviation(path, game)
         per_agent[dev.agent].append(dev)
     return DeviationClass.explicit(game, per_agent)
 
 
 def _cmd_eval(args) -> int:
-    game = io.load_game(args.game)
-    report = validate_game(game)
-    if not report.ok:
-        for v in report.violations:
-            print(f"game validation: {v}", file=sys.stderr)
+    loaded = _load_inputs(args, "expert", "learner")
+    if loaded is None:
         return EXIT_CHECK_FAILED
-    expert = io.load_policy(args.expert)
-    learner = io.load_policy(args.learner)
-    for tag, pol in (("expert", expert), ("learner", learner)):
-        rep = validate_policy(game, pol)
-        if not rep.ok:
-            for v in rep.violations:
-                print(f"{tag} validation: {v}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-    deviations = _load_deviation_class(args, game)
+    game, expert, learner = loaded
+    if args.deviations == "complete":
+        deviations = DeviationClass.complete(game.num_agents)
+    elif not args.deviation_file:
+        raise ValueError("--deviations file needs at least one --deviation-file")
+    else:
+        deviations = _explicit_class(game, args.deviation_file)
     t0 = time.perf_counter()
     result = evaluate_pair(game, expert, learner, deviations)
     if args.out_json:
@@ -178,16 +175,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    game = io.load_game(args.game)
-    expert = io.load_policy(args.expert)
+    loaded = _load_inputs(args, "expert")
+    if loaded is None:
+        return EXIT_CHECK_FAILED
+    game, expert = loaded
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.deviation_file:
-        per_agent = [[] for _ in range(game.num_agents)]
-        for path in args.deviation_file:
-            dev = io.load_deviation(path, game)
-            per_agent[dev.agent].append(dev)
-        phi = DeviationClass.explicit(game, per_agent)
+        phi = _explicit_class(game, args.deviation_file)
     else:
         phi = DeviationClass.identities(game)
     cfg = TrainConfig(rounds=args.rounds, seed=args.seed)
@@ -195,10 +190,8 @@ def _cmd_train(args) -> int:
     trace = ()
     if args.algo == "jbc":
         policy = j_bc(game, expert=expert, fill_rule=args.fill_rule, deviations=phi)
-        from .evaluate import occupancy_bundle
-        from .losses import bc_loss
-
-        summary["final_loss"] = bc_loss(expert, policy, occupancy_bundle(game, expert).avg_state)
+        summary["final_loss"] = weighted_tv_loss(expert, policy,
+                                                 occupancy_bundle(game, expert).avg_state)
     elif args.algo == "jirl":
         res = j_irl(game, expert, rounds=args.rounds)
         policy = res.policy

@@ -32,6 +32,7 @@ from .games import (
     DeviationClass,
     MarkovGame,
     MediatorPolicy,
+    _pushforward,
     induced_tables,
     policy_tables,
 )
@@ -188,6 +189,17 @@ def best_response_deviation(game: MarkovGame, sigma: MediatorPolicy, agent: int)
                         deviated_value=deviated, obedient_value=obedient)
 
 
+def _stationary_maps(game: MarkovGame, agent: int, cap: int) -> np.ndarray:
+    """Every stationary map (state, rec) -> action of one agent, as a
+    (n^(S*n), S, n) stack in lexicographic order; refuses above ``cap``."""
+    S, n = game.n_states, game.action_counts[agent]
+    total = n ** (S * n)
+    if total > cap:
+        raise ValueError(f"{total} stationary deviations exceeds cap {cap}")
+    digits = np.array(list(itertools.product(range(n), repeat=S * n)), dtype=np.int64)
+    return digits.reshape(total, S, n)
+
+
 def enumerate_stationary_best_response(game: MarkovGame, sigma: MediatorPolicy, agent: int,
                                        cap: int = 1 << 16) -> BestResponse:
     """Brute-force max over all stationary maps (state, rec) -> action.
@@ -197,23 +209,11 @@ def enumerate_stationary_best_response(game: MarkovGame, sigma: MediatorPolicy, 
     state is reachable at exactly one step this matches the DP; elsewhere
     it can only be lower.
     """
-    H, S, A = game.horizon, game.n_states, game.n_joint_actions
+    H, S = game.horizon, game.n_states
     n = game.action_counts[agent]
-    n_cells = S * n
-    total = n ** n_cells
-    if total > cap:
-        raise ValueError(f"{total} stationary deviations exceeds cap {cap}")
-    digits = np.array(list(itertools.product(range(n), repeat=n_cells)), dtype=np.int64)
-    tables = digits.reshape(total, S, n)                  # candidate maps
-    comp = game.agent_component(agent)
-    stride = game.component_stride(agent)
-    a_idx = np.arange(A)
-    push = a_idx[None, None, :] + (tables[:, :, comp] - comp[None, None, :]) * stride
-    sig = sigma.table
-    dev_tables = np.zeros((total, S, A))
-    flat = (np.arange(total * S)[:, None] * A + push.reshape(total * S, A)).ravel()
-    weights = np.broadcast_to(sig, (total, S, A)).ravel()
-    dev_tables = np.bincount(flat, weights=weights, minlength=total * S * A).reshape(total, S, A)
+    tables = _stationary_maps(game, agent, cap)           # candidate maps
+    total = tables.shape[0]
+    dev_tables = _pushforward(game, sigma.table, agent, tables)
     # batched forward value under the common reward r_agent
     r = game.rewards[agent]
     d = np.broadcast_to(game.initial_dist, (total, S)).copy()
@@ -356,6 +356,19 @@ def coverage_constant(game: MarkovGame, expert: MediatorPolicy) -> float:
     return float(occupancy_bundle(game, expert).avg_state.min())
 
 
+def _u_candidates(game: MarkovGame, expert: MediatorPolicy, deviations: DeviationClass,
+                  agent: int) -> tuple[Deviation, ...]:
+    """Deviations the u constants maximize over for one agent: an explicit
+    class as listed, COMPLETE as the identity plus the per-step best response."""
+    if deviations.is_complete(agent):
+        return (Deviation.identity(game, agent),
+                best_response_deviation(game, expert, agent).deviation)
+    devs = deviations.explicit_for(agent)
+    if not devs:
+        raise ValueError(f"agent {agent}: explicit deviation class is empty")
+    return devs
+
+
 def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
                             deviations: DeviationClass,
                             exact_enumeration: bool = False,
@@ -378,23 +391,11 @@ def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
         return float(np.abs(A).max())
 
     for i in range(game.num_agents):
-        if deviations.is_complete(i):
-            if exact_enumeration:
-                n = game.action_counts[i]
-                n_cells = game.n_states * n
-                if n ** n_cells > cap:
-                    raise ValueError("COMPLETE enumeration too large; raise cap or use the default mode")
-                for digits in itertools.product(range(n), repeat=n_cells):
-                    table = np.asarray(digits, dtype=np.int64).reshape(game.n_states, n)
-                    u = max(u, adv_max(Deviation(i, table)))
-            else:
-                u = max(u, adv_max(Deviation.identity(game, i)))
-                u = max(u, adv_max(best_response_deviation(game, expert, i).deviation))
+        if deviations.is_complete(i) and exact_enumeration:
+            for table in _stationary_maps(game, i, cap):
+                u = max(u, adv_max(Deviation(i, table)))
         else:
-            devs = deviations.explicit_for(i)
-            if not devs:
-                raise ValueError(f"agent {i}: explicit deviation class is empty")
-            for dev in devs:
+            for dev in _u_candidates(game, expert, deviations, i):
                 u = max(u, adv_max(dev))
     return u
 
@@ -435,12 +436,7 @@ def moment_recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
 
     u = 0.0
     for i in range(game.num_agents):
-        if deviations.is_complete(i):
-            candidates = [Deviation.identity(game, i),
-                          best_response_deviation(game, expert, i).deviation]
-        else:
-            candidates = list(deviations.explicit_for(i))
-        for dev in candidates:
+        for dev in _u_candidates(game, expert, deviations, i):
             u = max(u, sup_adv(induced_tables(game, expert, dev)))
     return u
 
@@ -448,17 +444,6 @@ def moment_recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
 # ---------------------------------------------------------------------------
 # Divergences between policies
 # ---------------------------------------------------------------------------
-
-
-def weighted_tv_loss(target: MediatorPolicy | np.ndarray, policy: MediatorPolicy | np.ndarray,
-                     weights: np.ndarray, atol: float = 1e-9) -> float:
-    """sum_s w(s) * TV(target(s), policy(s)) with TV(p, q) = 0.5 * |p - q|_1."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.min(initial=0.0) < -atol or abs(w.sum() - 1.0) > atol:
-        raise ValueError("weights must form a probability distribution over states")
-    t = target.table if isinstance(target, MediatorPolicy) else np.asarray(target)
-    p = policy.table if isinstance(policy, MediatorPolicy) else np.asarray(policy)
-    return float(w @ (0.5 * np.abs(t - p).sum(axis=1)))
 
 
 def moment_matching_error(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPolicy,

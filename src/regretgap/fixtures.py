@@ -18,6 +18,7 @@ where the learner slightly overweights the unrewarded branch.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -109,7 +110,7 @@ def _fork_chain_game(horizon: int, action_counts: tuple[int, ...], gate_joint: i
                       initial_dist=rho0)
 
 
-def fig1_game(horizon: int) -> Fixture:
+def fig1_game(horizon: int = 8) -> Fixture:
     """Occupancy-equal expert/learner pair with an order-H regret gap.
 
     Two agents, three actions each, common payoff.  Rewards sit on the
@@ -147,7 +148,8 @@ def fig1_game(horizon: int) -> Fixture:
                           params={"H": H}))
 
 
-def coverage_lb_game(horizon: int, u: float, beta: float, eps: float) -> Fixture:
+def coverage_lb_game(horizon: int = 20, u: float = 10, beta: float = 0.05,
+                     eps: float = 0.001) -> Fixture:
     """Full-coverage two-chain pair whose regret gap scales like eps*H*u/beta.
 
     The expert mixes 2*beta of its s0 recommendation onto the gate action so
@@ -209,7 +211,8 @@ def coverage_lb_game(horizon: int, u: float, beta: float, eps: float) -> Fixture
     return _check(fixture)
 
 
-def alice_lb_game(horizon: int, u: float, beta: float, eps: float) -> Fixture:
+def alice_lb_game(horizon: int = 20, u: float = 6, beta: float = 0.1,
+                  eps: float = 0.005) -> Fixture:
     """Single-agent fork where low on-deviated-distribution loss still costs
     eps*H*(u'-1) of regret gap.
 
@@ -274,6 +277,23 @@ def _one_hot(n: int, idx: int) -> np.ndarray:
     row = np.zeros(n)
     row[idx] = 1.0
     return row
+
+
+# The parameterized constructions by name; their signatures hold the
+# pinned default parameters.
+FIXTURES = {
+    "fig1": fig1_game,
+    "coverage-lb": coverage_lb_game,
+    "alice-lb": alice_lb_game,
+}
+
+
+def build_fixture(name: str, **params) -> Fixture:
+    """Build a named construction; parameters that are None or that its
+    builder does not take leave the builder's defaults in place."""
+    build = FIXTURES[name]
+    accepted = inspect.signature(build).parameters
+    return build(**{k: v for k, v in params.items() if v is not None and k in accepted})
 
 
 # ---------------------------------------------------------------------------

@@ -362,24 +362,19 @@ def validate_policy(game: MarkovGame, policy: MediatorPolicy, atol: float = SIMP
 # ---------------------------------------------------------------------------
 
 
-def _push_indices(game: MarkovGame, agent: int, table_sn: np.ndarray) -> np.ndarray:
-    """(S, A) joint index reached when `agent` filters its recommendation.
+def _pushforward(game: MarkovGame, table: np.ndarray, agent: int, dev_sn: np.ndarray) -> np.ndarray:
+    """Joint behavior of the (S, A) table when ``agent`` filters through dev_sn.
 
-    For joint action a with own component j = comp(a), the played joint
-    action keeps everyone else's component and replaces j by table[s, j].
+    For joint action a with own component j = comp(a), the mass of (s, a)
+    moves to the joint action that keeps everyone else's component and
+    replaces j by dev_sn[s, j].  An (S, n_i) map gives an (S, A) table; a
+    (K, S, n_i) stack of maps gives the K pushed tables as (K, S, A).
     """
     comp = game.agent_component(agent)
-    stride = game.component_stride(agent)
-    a_idx = np.arange(game.n_joint_actions)
-    return a_idx[None, :] + (table_sn[:, comp] - comp[None, :]) * stride
-
-
-def _pushforward(game: MarkovGame, table: np.ndarray, agent: int, dev_sn: np.ndarray) -> np.ndarray:
-    S, A = table.shape
-    push = _push_indices(game, agent, dev_sn)
-    flat = (np.arange(S)[:, None] * A + push).ravel()
-    out = np.bincount(flat, weights=table.ravel(), minlength=S * A)
-    return out.reshape(S, A)
+    shift = (dev_sn[..., comp] - comp) * game.component_stride(agent)
+    flat = (np.arange(shift.size).reshape(shift.shape) + shift).ravel()
+    weights = np.broadcast_to(table, shift.shape).ravel()
+    return np.bincount(flat, weights=weights, minlength=shift.size).reshape(shift.shape)
 
 
 def induced_joint_policy(game: MarkovGame, sigma: MediatorPolicy, deviation: Deviation) -> MediatorPolicy:

@@ -11,6 +11,7 @@ fixed SeedSequence, and within-suite evaluation order is fixed.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,10 +32,11 @@ from .evaluate import (
     regret_gap,
     value,
     value_gap,
-    weighted_tv_loss,
 )
 from .fixtures import (
+    FIXTURES,
     alice_lb_game,
+    build_fixture,
     coverage_lb_game,
     fig1_game,
     multi_ce_nfg,
@@ -43,20 +45,22 @@ from .fixtures import (
 )
 from .games import (
     DeviationClass,
+    induced_tables,
     sample_demonstrations,
     with_common_reward,
 )
 from .learners import ExpertOracle, TrainConfig, blades_train, j_bc, j_irl, malice_train
-from .losses import OCOConfig, WeightedTVLoss, CompositeMaxLoss, bc_loss, malice_loss, oco_run
+from .losses import (CompositeMaxLoss, OCOConfig, WeightedTVLoss, blades_loss, malice_loss,
+                     oco_run, weighted_tv_loss)
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 EQ_TOL = 1e-9        # closed-form equalities
 BOUND_SLACK = 1e-6   # slack added to inequality bounds
 
 CSV_COLUMNS = [
     "schema_version", "suite", "fixture", "algo", "H", "m", "beta", "u", "eps",
     "N", "seed", "value_gap", "regret_gap", "bound", "expected", "measured",
-    "pass", "runtime_ms",
+    "pass", "runtime_ms", "error",
 ]
 
 
@@ -77,8 +81,9 @@ class ReportRow:
     bound: float | None = None
     expected: float | None = None
     measured: float | None = None
-    passed: bool = False
+    passed: bool | None = False    # None: no closed form to check against
     runtime_ms: float = 0.0
+    error: str = ""
     schema_version: str = SCHEMA_VERSION
 
     def to_csv_dict(self) -> dict:
@@ -153,7 +158,7 @@ def property_suite_results(count: int = _PROPERTY_SUITE_SIZE, rounds: int = _PRO
             "regret_expert": r_expert,
         }
         sig_bc = j_bc(game, expert=expert, fill_rule="uniform")
-        rec["bc_eps"] = bc_loss(expert, sig_bc, d_expert)
+        rec["bc_eps"] = weighted_tv_loss(expert, sig_bc, d_expert)
         rec["bc_policy"] = sig_bc
         rec["bc_regret"] = regret(game, sig_bc, phi)
         rec["bc_gap"] = rec["bc_regret"] - r_expert
@@ -203,8 +208,8 @@ def suite_thm3(tol: float = EQ_TOL) -> list[ReportRow]:
 def suite_coverage_lb(tol: float = EQ_TOL, suite_name: str = "thm6-lb") -> list[ReportRow]:
     """Full-coverage construction: imitation error eps, moment error <= 2 eps,
     regret gap exactly eps*H/(2 beta) * (u'-2)."""
-    H, u, beta, eps = 20, 10, 0.05, 0.001
-    fx = coverage_lb_game(H, u, beta, eps)
+    fx = coverage_lb_game()
+    H, u, beta, eps = (fx.params[k] for k in ("H", "u", "beta", "eps"))
     dc = DeviationClass.complete(2)
     rows = []
     t0 = time.perf_counter()
@@ -231,22 +236,19 @@ def suite_coverage_lb(tol: float = EQ_TOL, suite_name: str = "thm6-lb") -> list[
 def suite_alice_lb(tol: float = EQ_TOL, which: str = "malice") -> list[ReportRow]:
     """Single-agent fork: deviation-aware losses stay at eps while the regret
     gap is eps*H*(u'-1)."""
-    H, u, beta, eps = 20, 6, 0.1, 0.005
-    fx = alice_lb_game(H, u, beta, eps)
+    fx = alice_lb_game()
+    H, u, beta, eps = (fx.params[k] for k in ("H", "u", "beta", "eps"))
     phi = fx.witness_class()
     suite_name = "thm8-lb" if which == "malice" else "thm10-lb"
     rows = []
     t0 = time.perf_counter()
     d_e = occupancy_bundle(fx.game, fx.expert).avg_state
-    dists = [occupancy_bundle(fx.game, _induced(fx.game, fx.learner, dev)).avg_state
-             for dev in _class_devs(phi)]
+    dists = [occupancy_bundle(fx.game, induced_tables(fx.game, fx.learner, dev)).avg_state
+             for i in range(phi.num_agents) for dev in phi.explicit_for(i)]
     if which == "malice":
         loss = malice_loss(fx.expert, fx.learner, d_e, dists)
     else:
-        oracle = ExpertOracle(fx.expert)
-        from .losses import blades_loss
-
-        loss = blades_loss(oracle, fx.learner, dists)
+        loss = blades_loss(ExpertOracle(fx.expert), fx.learner, dists)
     rows.append(_timed_row(ReportRow(
         suite=suite_name, fixture=f"alice-lb/{which}-loss", H=H, m=1, beta=beta, eps=eps,
         bound=eps + tol, measured=loss, passed=loss <= eps + tol), t0))
@@ -258,19 +260,6 @@ def suite_alice_lb(tol: float = EQ_TOL, which: str = "malice") -> list[ReportRow
         expected=expected, measured=gap, regret_gap=gap,
         passed=abs(gap - expected) <= tol), t0))
     return rows
-
-
-def _class_devs(phi: DeviationClass):
-    out = []
-    for i in range(phi.num_agents):
-        out.extend(phi.explicit_for(i))
-    return out
-
-
-def _induced(game, policy, dev):
-    from .games import induced_tables
-
-    return induced_tables(game, policy, dev)
 
 
 def suite_single_agent_eq(tol: float = 1e-8, count: int = 100) -> list[ReportRow]:
@@ -552,21 +541,21 @@ def suite_br_oracle(tol: float = 1e-10, count: int = 200) -> list[ReportRow]:
 
 SUITES = {
     "thm3": suite_thm3,
-    "thm5-lb": lambda tol=EQ_TOL: suite_coverage_lb(tol, suite_name="thm5-lb"),
+    "thm5-lb": functools.partial(suite_coverage_lb, suite_name="thm5-lb"),
     "thm6-lb": suite_coverage_lb,
-    "thm8-lb": lambda tol=EQ_TOL: suite_alice_lb(tol, which="malice"),
-    "thm10-lb": lambda tol=EQ_TOL: suite_alice_lb(tol, which="blades"),
-    "single-agent-eq": lambda tol=1e-8: suite_single_agent_eq(tol),
-    "nfg": lambda tol=1e-12: suite_nfg(tol),
-    "malice-ub": lambda tol=BOUND_SLACK: suite_malice_ub(tol),
-    "blades-ub": lambda tol=BOUND_SLACK: suite_blades_ub(tol),
-    "jbc-ub": lambda tol=BOUND_SLACK: suite_jbc_ub(tol),
+    "thm8-lb": suite_alice_lb,
+    "thm10-lb": functools.partial(suite_alice_lb, which="blades"),
+    "single-agent-eq": suite_single_agent_eq,
+    "nfg": suite_nfg,
+    "malice-ub": suite_malice_ub,
+    "blades-ub": suite_blades_ub,
+    "jbc-ub": suite_jbc_ub,
     "jirl-ub": suite_jirl_ub,
     "lemma1": suite_lemma1,
-    "oco-regret": lambda tol=0.0: suite_oco_regret(tol),
+    "oco-regret": suite_oco_regret,
     "thm1-dir": suite_thm1_dir,
     "thm4-ce": suite_thm4_ce,
-    "br-oracle": lambda tol=1e-10: suite_br_oracle(tol),
+    "br-oracle": suite_br_oracle,
 }
 
 
@@ -586,55 +575,52 @@ def run_suite(name: str, tolerance: float | None = None) -> list[ReportRow]:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-_FIXTURE_BUILDERS = {
-    "fig1": lambda p: fig1_game(int(p["H"])),
-    "coverage-lb": lambda p: coverage_lb_game(int(p["H"]), p.get("u", 10), p.get("beta", 0.05),
-                                              p.get("eps", 0.001)),
-    "alice-lb": lambda p: alice_lb_game(int(p["H"]), p.get("u", 6), p.get("beta", 0.1),
-                                        p.get("eps", 0.005)),
-}
-
-
 def _sweep_cell(fixture: str, params: dict, algo: str, seed: int, rounds: int) -> ReportRow:
+    """One grid cell.  Without ``algo`` the fixture's learner is checked
+    against its closed-form regret gap; with one, the trained policy's gap
+    is measured and ``expected``/``pass`` stay empty, since no closed form
+    pins a trained policy's gap."""
     t0 = time.perf_counter()
-    fx = _FIXTURE_BUILDERS[fixture](params)
+    fx = build_fixture(fixture, horizon=params.get("H"), u=params.get("u"),
+                       beta=params.get("beta"), eps=params.get("eps"))
     game = fx.game
     dc = DeviationClass.complete(game.num_agents)
     gap = regret_gap(game, fx.expert, fx.learner, dc)
-    vg = value_gap(game, fx.expert, fx.learner)
-    expected = fx.expected.get("regret_gap")
     row = ReportRow(
-        suite="sweep", fixture=fixture, algo=algo or "",
+        suite="sweep", fixture=fixture, algo=algo,
         H=game.horizon, m=game.num_agents,
         beta=params.get("beta"), u=params.get("u"), eps=params.get("eps"),
         N=rounds if algo else None, seed=seed,
-        value_gap=vg, regret_gap=gap, expected=expected, measured=gap,
-        passed=(expected is None) or abs(gap - expected) <= EQ_TOL,
+        value_gap=value_gap(game, fx.expert, fx.learner), regret_gap=gap, measured=gap,
     )
-    if algo:
-        phi = fx.witness_class()
-        if algo == "jbc":
-            pol = j_bc(game, expert=fx.expert, fill_rule="uniform")
-        elif algo == "jirl":
-            pol = j_irl(game, fx.expert, rounds=rounds).policy
-        elif algo == "malice":
-            pol = malice_train(game, fx.expert, phi, TrainConfig(rounds=rounds, seed=seed)).policy
-        elif algo == "blades":
-            oracle = ExpertOracle(fx.expert)
-            demos = sample_demonstrations(game, fx.expert, 100, seed=seed)
-            pol = blades_train(game, oracle, demos, phi, TrainConfig(rounds=rounds, seed=seed)).policy
-        else:
-            raise ValueError(f"unknown algo {algo!r}")
-        row.measured = regret_gap(game, fx.expert, pol, dc)
-        row.passed = True
+    if not algo:
+        row.expected = fx.expected.get("regret_gap")
+        row.passed = row.expected is None or abs(gap - row.expected) <= EQ_TOL
+        return _timed_row(row, t0)
+    phi = fx.witness_class()
+    if algo == "jbc":
+        pol = j_bc(game, expert=fx.expert, fill_rule="uniform")
+    elif algo == "jirl":
+        pol = j_irl(game, fx.expert, rounds=rounds).policy
+    elif algo == "malice":
+        pol = malice_train(game, fx.expert, phi, TrainConfig(rounds=rounds, seed=seed)).policy
+    elif algo == "blades":
+        oracle = ExpertOracle(fx.expert)
+        demos = sample_demonstrations(game, fx.expert, 100, seed=seed)
+        pol = blades_train(game, oracle, demos, phi, TrainConfig(rounds=rounds, seed=seed)).policy
+    else:
+        raise ValueError(f"unknown algo {algo!r}")
+    row.measured = regret_gap(game, fx.expert, pol, dc)
+    row.passed = None
     return _timed_row(row, t0)
 
 
 def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
     """Grid sweep over fixture parameters; cells are independent and run
-    deterministically regardless of the parallelism degree."""
+    deterministically regardless of the parallelism degree.  A cell that
+    raises becomes a failed row carrying the exception in ``error``."""
     fixture = config.get("fixture", "fig1")
-    if fixture not in _FIXTURE_BUILDERS:
+    if fixture not in FIXTURES:
         raise KeyError(f"unknown sweep fixture {fixture!r}")
     grid = config.get("grid") or {}
     if not grid or any(len(v) == 0 for v in grid.values()):
@@ -653,10 +639,9 @@ def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
         try:
             return _sweep_cell(fixture, params, algo, seed, rounds)
         except Exception as exc:  # partial failures are recorded per row
-            row = ReportRow(suite="sweep", fixture=f"{fixture}:{params}", algo=algo,
-                            seed=seed, passed=False)
-            row.fixture = f"{fixture} ERROR {exc}"
-            return row
+            return ReportRow(suite="sweep", fixture=fixture, algo=algo, H=params.get("H"),
+                             beta=params.get("beta"), u=params.get("u"), eps=params.get("eps"),
+                             seed=seed, passed=False, error=f"{type(exc).__name__}: {exc}")
 
     if jobs == 1:
         rows = [one(x) for x in enumerate(cells)]
@@ -665,8 +650,8 @@ def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
             rows = list(pool.map(one, enumerate(cells)))
     summary = {
         "cells": len(rows),
-        "passed": sum(r.passed for r in rows),
-        "failed": sum(not r.passed for r in rows),
+        "passed": sum(r.passed is True for r in rows),
+        "failed": sum(r.passed is False for r in rows),
         "fixture": fixture,
         "algo": algo,
     }

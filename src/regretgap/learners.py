@@ -12,7 +12,7 @@ recommendations on the states it lands in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class ExpertOracle:
         out = np.zeros_like(row)
         out[a] = 1.0
         return out
-
-
-def expert_query(oracle: ExpertOracle, state: int) -> np.ndarray:
-    return oracle.query(state)
 
 
 @dataclass(frozen=True)
@@ -285,14 +281,6 @@ def j_irl(game: MarkovGame, expert: MediatorPolicy, rounds: int,
 # ---------------------------------------------------------------------------
 
 
-def _deviation_pairs(deviations: DeviationClass):
-    pairs = []
-    for i in range(deviations.num_agents):
-        for k, dev in enumerate(deviations.explicit_for(i)):
-            pairs.append((i, dev.label or f"a{i}/dev{k}", dev))
-    return pairs
-
-
 def _deviated_densities(game: MarkovGame, table: np.ndarray, pairs, mode: str,
                         n_samples: int, rng) -> list[np.ndarray]:
     dists = []
@@ -300,6 +288,46 @@ def _deviated_densities(game: MarkovGame, table: np.ndarray, pairs, mode: str,
         tabs = induced_tables(game, table, dev)
         dists.append(state_density(game, tabs, mode=mode, n_samples=n_samples, rng=rng))
     return dists
+
+
+def _train(game: MarkovGame, deviations: DeviationClass, config: TrainConfig,
+           init: MediatorPolicy | None, build_loss) -> TrainResult:
+    """The no-regret reduction shared by malice_train and blades_train.
+
+    Each round computes the state density of the current iterate under
+    every listed deviation and takes one OCO step on
+    ``build_loss(dists, labels, round_index)``.  In 'mc' mode every iterate
+    is then rescored on a held-out fresh sample of the same size, with
+    ``round_index`` None, and the best rescored one is returned.
+    """
+    if not deviations.all_explicit():
+        raise ValueError("training needs an explicit, finite deviation class")
+    pairs = [(i, dev.label or f"a{i}/dev{k}", dev) for i in range(deviations.num_agents)
+             for k, dev in enumerate(deviations.explicit_for(i))]
+    labels = [lab for _, lab, _ in pairs]
+    rng = np.random.default_rng(config.seed)
+
+    def build(n: int, sigma: np.ndarray) -> CompositeMaxLoss:
+        dists = _deviated_densities(game, sigma, pairs, config.density_mode, config.mc_samples, rng)
+        return build_loss(dists, labels, n)
+
+    run = oco_run(build, (game.n_states, game.n_joint_actions), config.oco_config(),
+                  init=None if init is None else init.table)
+    best, final = run.best_round, float(run.losses[run.best_round])
+    if config.density_mode == "mc":
+        val_rng = np.random.default_rng(config.seed + 1)
+        val = np.empty(run.tables.shape[0])
+        for n in range(run.tables.shape[0]):
+            dists = _deviated_densities(game, run.tables[n], pairs, "mc", config.mc_samples, val_rng)
+            val[n] = build_loss(dists, labels, None).value(run.tables[n])
+        best, final = int(np.argmin(val)), float(val.min())
+    trace = tuple(
+        TraceRow(n + 1, float(run.losses[n]), pairs[run.achieving[n]][0],
+                 pairs[run.achieving[n]][1], float(run.step_sizes[n]))
+        for n in range(run.tables.shape[0])
+    )
+    return TrainResult(policy=MediatorPolicy(run.tables[best]), trace=trace,
+                       final_loss=final, best_round=best + 1)
 
 
 def malice_train(game: MarkovGame, expert: MediatorPolicy, deviations: DeviationClass,
@@ -314,43 +342,17 @@ def malice_train(game: MarkovGame, expert: MediatorPolicy, deviations: Deviation
     self-consistent loss (its own round's loss at itself) is returned.
     """
     config = config or TrainConfig()
-    if not deviations.all_explicit():
-        raise ValueError("training needs an explicit, finite deviation class")
     beta = coverage_constant(game, expert)
     if beta <= 0.0:
         raise CoverageError(
             "expert leaves some state unvisited (coverage constant is 0); "
             "importance weights are undefined"
         )
-    pairs = _deviation_pairs(deviations)
     d_expert = state_density(game, expert, mode=config.density_mode,
                              n_samples=config.mc_samples,
                              rng=np.random.default_rng(config.seed) if config.density_mode == "mc" else None)
-    rng = np.random.default_rng(config.seed)
-
-    def build(n: int, sigma: np.ndarray) -> CompositeMaxLoss:
-        dists = _deviated_densities(game, sigma, pairs, config.density_mode, config.mc_samples, rng)
-        return malice_components(expert, d_expert, dists, labels=[lab for _, lab, _ in pairs])
-
-    run = oco_run(build, (game.n_states, game.n_joint_actions), config.oco_config(),
-                  init=None if init is None else init.table)
-    best, final = run.best_round, float(run.losses[run.best_round])
-    if config.density_mode == "mc":
-        # held-out validation pass with a fresh sample of the same size
-        val_rng = np.random.default_rng(config.seed + 1)
-        val = np.empty(run.tables.shape[0])
-        for n in range(run.tables.shape[0]):
-            dists = _deviated_densities(game, run.tables[n], pairs, "mc", config.mc_samples, val_rng)
-            val[n] = malice_components(expert, d_expert, dists,
-                                       labels=[lab for _, lab, _ in pairs]).value(run.tables[n])
-        best, final = int(np.argmin(val)), float(val.min())
-    trace = tuple(
-        TraceRow(n + 1, float(run.losses[n]), pairs[run.achieving[n]][0],
-                 pairs[run.achieving[n]][1], float(run.step_sizes[n]))
-        for n in range(run.tables.shape[0])
-    )
-    return TrainResult(policy=MediatorPolicy(run.tables[best]), trace=trace,
-                       final_loss=final, best_round=best + 1)
+    return _train(game, deviations, config, init,
+                  lambda dists, labels, n: malice_components(expert, d_expert, dists, labels=labels))
 
 
 def blades_train(game: MarkovGame, oracle: ExpertOracle, demos: DemonstrationSet,
@@ -366,35 +368,11 @@ def blades_train(game: MarkovGame, oracle: ExpertOracle, demos: DemonstrationSet
     the expert policy directly.
     """
     config = config or TrainConfig()
-    if not deviations.all_explicit():
-        raise ValueError("training needs an explicit, finite deviation class")
     if init is None:
         if demos is None or len(demos) == 0:
             raise ValueError("demonstrations are required for initialization")
         init = j_bc(game, demos=demos, fill_rule="uniform")
-    pairs = _deviation_pairs(deviations)
-    rng = np.random.default_rng(config.seed)
-
-    def build(n: int, sigma: np.ndarray) -> CompositeMaxLoss:
-        dists = _deviated_densities(game, sigma, pairs, config.density_mode, config.mc_samples, rng)
-        return blades_components(oracle, dists, labels=[lab for _, lab, _ in pairs], round_index=n)
-
-    run = oco_run(build, (game.n_states, game.n_joint_actions), config.oco_config(),
-                  init=init.table)
-    best, final = run.best_round, float(run.losses[run.best_round])
-    if config.density_mode == "mc":
-        val_rng = np.random.default_rng(config.seed + 1)
-        val = np.empty(run.tables.shape[0])
-        for n in range(run.tables.shape[0]):
-            dists = _deviated_densities(game, run.tables[n], pairs, "mc", config.mc_samples, val_rng)
-            val[n] = blades_components(oracle, dists, labels=[lab for _, lab, _ in pairs],
-                                       round_index=None).value(run.tables[n])
-        best, final = int(np.argmin(val)), float(val.min())
-    trace = tuple(
-        TraceRow(n + 1, float(run.losses[n]), pairs[run.achieving[n]][0],
-                 pairs[run.achieving[n]][1], float(run.step_sizes[n]))
-        for n in range(run.tables.shape[0])
-    )
-    return TrainResult(policy=MediatorPolicy(run.tables[best]), trace=trace,
-                       final_loss=final, best_round=best + 1,
-                       query_count=oracle.query_count, query_log=tuple(oracle.query_log))
+    res = _train(game, deviations, config, init,
+                 lambda dists, labels, n: blades_components(oracle, dists, labels=labels,
+                                                            round_index=n))
+    return replace(res, query_count=oracle.query_count, query_log=tuple(oracle.query_log))

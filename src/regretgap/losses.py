@@ -87,11 +87,12 @@ class CompositeMaxLoss:
 # ---------------------------------------------------------------------------
 
 
-def bc_loss(expert, policy, d_expert: np.ndarray) -> float:
-    """Expected TV between expert and learner rows on the expert's states."""
-    from .evaluate import weighted_tv_loss
-
-    return weighted_tv_loss(_table(expert), _table(policy), d_expert)
+def weighted_tv_loss(target, policy, weights: np.ndarray, atol: float = 1e-9) -> float:
+    """sum_s w(s) * TV(target(s), policy(s)) with TV(p, q) = 0.5 * |p - q|_1."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.min(initial=0.0) < -atol or abs(w.sum() - 1.0) > atol:
+        raise ValueError("weights must form a probability distribution over states")
+    return float(w @ tv_rows(_table(target), _table(policy)))
 
 
 def _check_support(d_expert: np.ndarray, deviated: np.ndarray, label: str) -> None:
@@ -152,11 +153,6 @@ def blades_components(oracle, deviated_dists: Sequence[np.ndarray],
 def blades_loss(oracle, policy, deviated_dists: Sequence[np.ndarray],
                 labels: Sequence[str] | None = None, round_index: int | None = None) -> float:
     return blades_components(oracle, deviated_dists, labels, round_index).value(policy)
-
-
-def subgradient(loss: CompositeMaxLoss | WeightedTVLoss, policy) -> np.ndarray:
-    """A subgradient of the loss at the policy, per state over joint actions."""
-    return loss.subgradient(policy)
 
 
 # ---------------------------------------------------------------------------

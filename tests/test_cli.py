@@ -126,6 +126,22 @@ class TestTrain:
                    "--rounds", "5", "--out", str(tmp_path / "run")])
         assert rc == EXIT_ASSUMPTION
 
+    @pytest.mark.parametrize("broken", ["game", "expert"])
+    def test_invalid_inputs_fail_validation(self, tmp_path, capsys, broken):
+        main(["gen", "--name", "coverage-lb", "--out", str(tmp_path)])
+        data = io.load_json(tmp_path / f"{broken}.json")
+        if broken == "game":
+            data["transitions"][0][0][0] += 0.5  # this row now sums to 1.5
+        else:
+            data["table"][0][0] += 0.5
+        (tmp_path / f"{broken}.json").write_text(json.dumps(data))
+        rc = main(["train", "--algo", "malice", "--game", str(tmp_path / "game.json"),
+                   "--expert", str(tmp_path / "expert.json"),
+                   "--rounds", "5", "--out", str(tmp_path / "run")])
+        assert rc == EXIT_CHECK_FAILED
+        assert f"{broken} validation" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "policy.json").exists()
+
     def test_blades_writes_trace_and_queries(self, tmp_path):
         main(["gen", "--name", "random", "--seed", "5", "--states", "3",
               "--out", str(tmp_path)])
@@ -239,6 +255,21 @@ class TestSweep:
         rows = read_csv(tmp_path / "s.csv")
         assert len(rows) == 2
         assert {r["pass"] for r in rows} == {"True", "False"}
+        failed = next(r for r in rows if r["pass"] == "False")
+        assert failed["fixture"] == "coverage-lb"
+        assert failed["H"] == "3"
+        assert failed["error"]
+        assert all(r["error"] == "" for r in rows if r["pass"] == "True")
+
+    def test_trained_cells_leave_expected_and_pass_empty(self, tmp_path):
+        # no closed form pins a trained policy's regret gap, so the cell
+        # reports what it measured and checks nothing
+        rows, summary = run_sweep({"base_seed": 2, "grid": {"H": [4]}, "fixture": "fig1",
+                                   "algo": "jbc"})
+        row = rows[0].to_csv_dict()
+        assert row["expected"] == "" and row["pass"] == ""
+        assert row["measured"] == pytest.approx(2.0 / 3.0)
+        assert summary["failed"] == 0
 
 
 class TestExitCodeContract:

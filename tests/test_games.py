@@ -19,6 +19,7 @@ from regretgap import (
 )
 from regretgap.evaluate import occupancy_bundle
 from regretgap.fixtures import fig1_game, random_mg
+from regretgap.games import _pushforward
 
 
 def tiny_game(horizon=2):
@@ -168,6 +169,21 @@ class TestInducedPolicy:
             pushed = np.bincount(dev.table[s], weights=rec_marg, minlength=n)
             ind_marg = np.bincount(comp, weights=out.table[s], minlength=n)
             np.testing.assert_allclose(ind_marg, pushed, atol=1e-12)
+
+    @pytest.mark.parametrize("agent", [0, 1, 2])
+    def test_stacked_pushforward_equals_single_maps(self, agent):
+        rng = np.random.default_rng(40 + agent)
+        fx = random_mg(rng, n_states=5, horizon=3, action_counts=(2, 3, 2))
+        g = fx.game
+        n = g.action_counts[agent]
+        maps = rng.integers(0, n, size=(6, g.n_states, n))
+        maps[2] = np.arange(n)  # the identity map leaves the table unchanged
+        stacked = _pushforward(g, fx.expert.table, agent, maps)
+        assert stacked.shape == (6, g.n_states, g.n_joint_actions)
+        for k in range(6):
+            single = _pushforward(g, fx.expert.table, agent, maps[k])
+            np.testing.assert_array_equal(stacked[k], single)
+        np.testing.assert_array_equal(stacked[2], fx.expert.table)
 
     def test_shape_mismatch_rejected(self):
         fx = fig1_game(4)

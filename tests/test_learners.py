@@ -9,9 +9,7 @@ from regretgap import (
     ExpertOracle,
     OCOConfig,
     TrainConfig,
-    bc_loss,
     blades_train,
-    expert_query,
     j_bc,
     j_irl,
     malice_train,
@@ -20,6 +18,7 @@ from regretgap import (
     regret_gap,
     sample_demonstrations,
     value_gap,
+    weighted_tv_loss,
 )
 from regretgap.fixtures import (
     alice_lb_game,
@@ -34,8 +33,8 @@ class TestExpertOracle:
     def test_full_row_mode_returns_exact_rows(self):
         fx = random_mg(0, n_states=3, horizon=3)
         oracle = ExpertOracle(fx.expert)
-        row1 = expert_query(oracle, 1)
-        row2 = expert_query(oracle, 1)
+        row1 = oracle.query(1)
+        row2 = oracle.query(1)
         np.testing.assert_array_equal(row1, fx.expert.table[1])
         np.testing.assert_array_equal(row1, row2)
         assert oracle.query_count == 2
@@ -68,7 +67,7 @@ class TestJBC:
         pol = j_bc(fx.game, expert=fx.expert, fill_rule="uniform")
         np.testing.assert_array_equal(pol.table, fx.expert.table)
         d = occupancy_bundle(fx.game, fx.expert).avg_state
-        assert bc_loss(fx.expert, pol, d) == 0.0
+        assert weighted_tv_loss(fx.expert, pol, d) == 0.0
 
     def test_uniform_fill_off_support(self):
         fx = fig1_game(5)
@@ -101,7 +100,7 @@ class TestJBC:
         visited = demos.state_counts(fx.game) > 0
         d = occupancy_bundle(fx.game, fx.expert).avg_state * visited
         d = d / d.sum()
-        assert bc_loss(fx.expert, pol, d) <= 0.05
+        assert weighted_tv_loss(fx.expert, pol, d) <= 0.05
 
     def test_empty_demos_rejected(self):
         fx = random_mg(5, n_states=3, horizon=3)

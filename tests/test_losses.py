@@ -13,13 +13,12 @@ from regretgap import (
     MediatorPolicy,
     OCOConfig,
     WeightedTVLoss,
-    bc_loss,
     blades_loss,
     induced_tables,
     malice_loss,
     occupancy_bundle,
     oco_run,
-    subgradient,
+    weighted_tv_loss,
 )
 from regretgap.fixtures import alice_lb_game, coverage_lb_game, random_mg
 from regretgap.games import induced_tables
@@ -34,13 +33,13 @@ class TestBCLoss:
     def test_zero_at_expert(self):
         fx = random_mg(0, n_states=3, horizon=3)
         d = occupancy_bundle(fx.game, fx.expert).avg_state
-        assert bc_loss(fx.expert, fx.expert, d) == 0.0
+        assert weighted_tv_loss(fx.expert, fx.expert, d) == 0.0
 
     def test_coverage_fixture_is_eps(self):
         eps = 0.002
         fx = coverage_lb_game(15, 7, 0.1, eps)
         d = occupancy_bundle(fx.game, fx.expert).avg_state
-        assert bc_loss(fx.expert, fx.learner, d) == pytest.approx(eps, abs=1e-12)
+        assert weighted_tv_loss(fx.expert, fx.learner, d) == pytest.approx(eps, abs=1e-12)
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(5)
@@ -48,7 +47,7 @@ class TestBCLoss:
         d = occupancy_bundle(fx.game, fx.expert).avg_state
         for _ in range(20):
             other = MediatorPolicy(rand_simplex(rng, fx.expert.table.shape))
-            assert 0.0 <= bc_loss(fx.expert, other, d) <= 1.0
+            assert 0.0 <= weighted_tv_loss(fx.expert, other, d) <= 1.0
 
 
 class TestMaliceLoss:
@@ -84,10 +83,10 @@ class TestMaliceLoss:
 
     def test_equals_bc_under_deviated_distribution(self):
         # with a single deviation the max collapses to a plain reweighted
-        # expectation, identical to bc_loss under the deviated density
+        # expectation, identical to weighted_tv_loss under the deviated density
         fx, d_e, dists = self._setup(seed=4)
         one = [dists[0]]
-        direct = bc_loss(fx.expert, fx.learner, dists[0] / dists[0].sum())
+        direct = weighted_tv_loss(fx.expert, fx.learner, dists[0] / dists[0].sum())
         assert malice_loss(fx.expert, fx.learner, d_e, one) == pytest.approx(direct, abs=1e-12)
 
     def test_support_violation_raises(self):
@@ -172,7 +171,7 @@ class TestSubgradient:
         for _ in range(20):
             x = rand_simplex(rng, (1, 2))
             y = rand_simplex(rng, (1, 2))
-            g = subgradient(loss, x)
+            g = loss.subgradient(x)
             assert loss.value(y) >= loss.value(x) + float((g * (y - x)).sum()) - 1e-6
 
     def test_positive_homogeneity_in_weights(self):
