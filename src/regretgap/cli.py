@@ -87,11 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     name = args.name
     written = []
     if name == "multi-ce-nfg":
         fx_r, fx_rp = multi_ce_nfg()
+        out.mkdir(parents=True, exist_ok=True)
         written.append(io.save_game(fx_r.game, out / "game_r.json"))
         written.append(io.save_game(fx_rp.game, out / "game_rprime.json"))
         written.append(io.save_policy(fx_r.expert, out / "expert.json"))
@@ -105,6 +105,7 @@ def _cmd_gen(args) -> int:
                            **({} if args.horizon is None else {"horizon": args.horizon}))
         else:
             fx = build_fixture(name, horizon=args.horizon, u=args.u, beta=args.beta, eps=args.eps)
+        out.mkdir(parents=True, exist_ok=True)
         written.append(io.save_game(fx.game, out / "game.json"))
         written.append(io.save_policy(fx.expert, out / "expert.json"))
         written.append(io.save_policy(fx.learner, out / "learner.json"))
@@ -195,20 +196,16 @@ def _cmd_train(args) -> int:
     elif args.algo == "jirl":
         res = j_irl(game, expert, rounds=args.rounds)
         policy = res.policy
-        summary["final_loss"] = res.final_error
-        summary["best_round"] = res.best_round
-    elif args.algo == "malice":
-        res = malice_train(game, expert, phi, cfg)
-        policy, trace = res.policy, res.trace
-        summary["final_loss"] = res.final_loss
-        summary["best_round"] = res.best_round
+        summary.update(final_loss=res.final_error, best_round=res.best_round)
     else:
-        oracle = ExpertOracle(expert)
-        demos = sample_demonstrations(game, expert, args.demos, seed=args.seed)
-        res = blades_train(game, oracle, demos, phi, cfg)
+        if args.algo == "malice":
+            res = malice_train(game, expert, phi, cfg)
+        else:
+            demos = sample_demonstrations(game, expert, args.demos, seed=args.seed)
+            res = blades_train(game, ExpertOracle(expert), demos, phi, cfg)
         policy, trace = res.policy, res.trace
-        summary["final_loss"] = res.final_loss
-        summary["best_round"] = res.best_round
+        summary.update(final_loss=res.final_loss, best_round=res.best_round)
+    if args.algo == "blades":
         summary["query_count"] = res.query_count
         with open(out / "queries.jsonl", "w") as fh:
             for entry in res.query_log:

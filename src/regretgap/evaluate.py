@@ -22,7 +22,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,77 @@ from .games import (
     DeviationClass,
     MarkovGame,
     MediatorPolicy,
+    _policy_array,
+    _push,
+    _push_index,
     _pushforward,
+    _sample_batch,
     induced_tables,
     policy_tables,
 )
+
+
+# ---------------------------------------------------------------------------
+# The batched DP core
+# ---------------------------------------------------------------------------
+
+
+def _distinct(*stacks) -> tuple[np.ndarray, np.ndarray]:
+    """First position of each bitwise-distinct column of the stacks, and the
+    inverse index.  BLAS may round equal columns of one matmul differently,
+    so equal inputs share one DP column to get bitwise-equal results."""
+    K = len(stacks[0])
+    if K == 1:
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    rows = np.ascontiguousarray(np.column_stack([np.reshape(x, (K, -1)) for x in stacks]))
+    seen: dict = {}
+    inverse = np.array([seen.setdefault(key, len(seen)) for key in
+                        rows.view(np.dtype((np.void, rows[0].nbytes))).ravel().tolist()])
+    return np.unique(inverse, return_index=True)[1], inverse
+
+
+def _forward(game: MarkovGame, tables: np.ndarray) -> np.ndarray:
+    """Forward DP d_{h+1}(s') = sum_{s,a} d_h(s) pi_h(a|s) T(s'|s,a), d_1 =
+    rho0, for K policies (K, S, A) or (K, H, S, A) at once, one matmul per
+    step: the per-step state distributions (K, H, S)."""
+    first, inverse = _distinct(tables)
+    tables = tables[first]
+    H, S = game.horizon, game.n_states
+    T2 = game.transition.reshape(-1, S)
+    d = np.empty((len(first), H, S))
+    d[:, 0] = game.initial_dist
+    for h in range(H - 1):
+        pi = tables if tables.ndim == 3 else tables[:, h]
+        d[:, h + 1] = (d[:, h, :, None] * pi).reshape(len(first), -1) @ T2
+    return d[inverse]
+
+
+def _backward(game: MarkovGame, tables: np.ndarray, agents):
+    """Backward DP Q_h(s,a) = r_i(s,a) + sum_{s'} T(s'|s,a) V_{h+1}(s'),
+    V_h(s) = sum_a pi_h(a|s) Q_h(s,a), for K (policy, agent) columns at once,
+    one matmul per step; policies are (K, S, A) or (K, H, S, A).  Yields
+    (h, Q_h (K, S, A), V_h (K, S)) for h = H-1, ..., 0; the next step
+    overwrites Q_h."""
+    S, A = game.n_states, game.n_joint_actions
+    T2t = game.transition.reshape(S * A, S).T
+    agents = np.asarray(agents, dtype=np.int64)
+    rewards = game.rewards[agents if len(set(agents.tolist())) > 1 else agents[:1]]
+    Q, V = np.empty((len(tables), S, A)), np.zeros((len(tables), S))
+    for h in reversed(range(game.horizon)):
+        pi = tables if tables.ndim == 3 else tables[:, h]
+        np.matmul(V, T2t, out=Q.reshape(-1, S * A))
+        Q += rewards
+        V = np.einsum("ksa,ksa->ks", pi, Q)
+        yield h, Q, V
+
+
+def _values(game: MarkovGame, tables: np.ndarray, agents) -> np.ndarray:
+    """J of K (policy, agent) columns, as a (K,) array."""
+    agents = np.asarray(agents, dtype=np.int64)
+    first, inverse = _distinct(tables, agents)
+    for _, _, V in _backward(game, tables[first], agents[first]):
+        pass
+    return (V @ game.initial_dist)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -60,21 +126,10 @@ class OccupancyBundle:
 
 def occupancy_bundle(game: MarkovGame, policy) -> OccupancyBundle:
     """Forward DP: d_1 = rho0, d_{h+1}(s') = sum_{s,a} d_h(s) pi_h(a|s) T(s'|s,a)."""
-    tables = policy_tables(game, policy)
-    H, S, A = tables.shape
-    d = np.empty((H, S))
-    rho = np.empty((H, S, A))
-    d[0] = game.initial_dist
-    for h in range(H):
-        rho[h] = d[h][:, None] * tables[h]
-        if h + 1 < H:
-            d[h + 1] = np.einsum("sa,sax->x", rho[h], game.transition)
-    return OccupancyBundle(
-        per_step_state=d,
-        per_step_joint=rho,
-        avg_state=d.mean(axis=0),
-        avg_joint=rho.mean(axis=0),
-    )
+    arr = _policy_array(game, policy)
+    d = _forward(game, arr[None])[0]
+    rho = d[:, :, None] * policy_tables(game, arr)
+    return OccupancyBundle(d, rho, d.mean(axis=0), rho.mean(axis=0))
 
 
 def state_density(game: MarkovGame, policy, mode: str = "exact",
@@ -87,8 +142,6 @@ def state_density(game: MarkovGame, policy, mode: str = "exact",
     if mode == "exact":
         return occupancy_bundle(game, policy).avg_state
     if mode == "mc":
-        from .games import _sample_batch
-
         rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         states, _ = _sample_batch(game, policy_tables(game, policy), n_samples, rng)
         counts = np.bincount(states.ravel(), minlength=game.n_states)
@@ -101,16 +154,10 @@ def value_functions(game: MarkovGame, policy, agent: int):
 
     Q_h(s,a) = r_i(s,a) + sum_{s'} T(s'|s,a) V_{h+1}(s'); terminal V is zero.
     """
-    tables = policy_tables(game, policy)
-    H, S, A = tables.shape
-    r = game.rewards[agent]
-    Q = np.empty((H, S, A))
-    V = np.empty((H, S))
-    v_next = np.zeros(S)
-    for h in reversed(range(H)):
-        Q[h] = r + np.einsum("sax,x->sa", game.transition, v_next)
-        V[h] = (tables[h] * Q[h]).sum(axis=1)
-        v_next = V[h]
+    Q = np.empty((game.horizon, game.n_states, game.n_joint_actions))
+    V = np.empty(Q.shape[:2])
+    for h, Q_h, V_h in _backward(game, _policy_array(game, policy)[None], [agent]):
+        Q[h], V[h] = Q_h[0], V_h[0]
     return Q, V
 
 def advantage_tensor(game: MarkovGame, policy, agent: int):
@@ -121,13 +168,13 @@ def advantage_tensor(game: MarkovGame, policy, agent: int):
 
 def value(game: MarkovGame, policy, agent: int) -> float:
     """J_i(pi): expected cumulative reward of one agent."""
-    _, V = value_functions(game, policy, agent)
-    return float(game.initial_dist @ V[0])
+    return float(_values(game, _policy_array(game, policy)[None], [agent])[0])
 
 
 def values(game: MarkovGame, policy) -> np.ndarray:
     """J_i(pi) for every agent, as an (m,) array."""
-    return np.array([value(game, policy, i) for i in range(game.num_agents)])
+    arr = _policy_array(game, policy)
+    return _values(game, np.broadcast_to(arr, (game.num_agents, *arr.shape)), range(game.num_agents))
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +214,14 @@ def best_response_deviation(game: MarkovGame, sigma: MediatorPolicy, agent: int)
     sig_r = _agent_axis_view(game, sigma.table, agent)    # (S, n, R)
     r = game.rewards[agent]
     own = np.arange(n)
+    T2 = game.transition.reshape(S * A, S)
     W = np.zeros(S)   # value under optimal filtering from h on
     V = np.zeros(S)   # obedient value, same recursion shape
     maps = np.empty((H, S, n), dtype=np.int64)
     for h in reversed(range(H)):
-        G_dev = r + np.einsum("sax,x->sa", game.transition, W)
-        G_obey = r + np.einsum("sax,x->sa", game.transition, V)
+        # two matvecs of one shape, so W == V gives bitwise-equal rows
+        G_dev = r + (T2 @ W).reshape(S, A)
+        G_obey = r + (T2 @ V).reshape(S, A)
         # U[s, j, b]: mass of recommendation j times expected payoff of playing b
         U_dev = np.einsum("sjx,sbx->sjb", sig_r, _agent_axis_view(game, G_dev, agent))
         U_obey = np.einsum("sjx,sbx->sjb", sig_r, _agent_axis_view(game, G_obey, agent))
@@ -196,7 +245,7 @@ def _stationary_maps(game: MarkovGame, agent: int, cap: int) -> np.ndarray:
     total = n ** (S * n)
     if total > cap:
         raise ValueError(f"{total} stationary deviations exceeds cap {cap}")
-    digits = np.array(list(itertools.product(range(n), repeat=S * n)), dtype=np.int64)
+    digits = np.arange(total)[:, None] // n ** np.arange(S * n - 1, -1, -1) % n
     return digits.reshape(total, S, n)
 
 
@@ -209,20 +258,10 @@ def enumerate_stationary_best_response(game: MarkovGame, sigma: MediatorPolicy, 
     state is reachable at exactly one step this matches the DP; elsewhere
     it can only be lower.
     """
-    H, S = game.horizon, game.n_states
     n = game.action_counts[agent]
     tables = _stationary_maps(game, agent, cap)           # candidate maps
-    total = tables.shape[0]
     dev_tables = _pushforward(game, sigma.table, agent, tables)
-    # batched forward value under the common reward r_agent
-    r = game.rewards[agent]
-    d = np.broadcast_to(game.initial_dist, (total, S)).copy()
-    J = np.zeros(total)
-    for h in range(H):
-        rho = d[:, :, None] * dev_tables
-        J += np.einsum("ksa,sa->k", rho, r)
-        if h + 1 < H:
-            d = np.einsum("ksa,sax->kx", rho, game.transition)
+    J = _values(game, dev_tables, np.full(len(tables), agent))
     identity_code = np.arange(n)
     k_id = int(np.nonzero((tables == identity_code[None, None, :]).all(axis=(1, 2)))[0][0])
     k_best = int(np.argmax(J))
@@ -293,32 +332,39 @@ def regret_report(game: MarkovGame, sigma: MediatorPolicy, deviations: Deviation
     'enumerate' brute-forces every stationary map (tiny games only) and is
     exact for the stationary semantics everywhere.
     """
+    return _regret_report(game, sigma, deviations, complete_mode)[0]
+
+
+def _regret_report(game: MarkovGame, sigma: MediatorPolicy, deviations: DeviationClass,
+                   complete_mode: str = "dp"):
+    """regret_report, the obedient J_i(sigma) of every agent and the best
+    responses found, by agent.  Obedience and every explicit deviation are
+    one backward DP, so an identity deviation's gain is exactly 0.0."""
     if deviations.num_agents != game.num_agents:
         raise ValueError("deviation class does not match the game's agent count")
     if complete_mode not in ("dp", "enumerate"):
         raise ValueError(f"unknown complete_mode {complete_mode!r}")
-    gains: list[DeviationGain] = []
-    needs_dp = False
-    base = values(game, sigma)
-    for i in range(game.num_agents):
+    m = game.num_agents
+    explicit = [dev for i in range(m) if not deviations.is_complete(i)
+                for dev in deviations.explicit_for(i)]
+    devs = [Deviation.identity(game, i) for i in range(m)] + explicit
+    J = _values(game, _push(_push_index(game, devs), sigma.table), [d.agent for d in devs])
+    deviated = iter(J[m:])
+    gains, brs = [], {}
+    for i in range(m):
         if deviations.is_complete(i):
             if complete_mode == "dp":
                 br = best_response_deviation(game, sigma, i)
-                needs_dp = True
             else:
                 br = enumerate_stationary_best_response(game, sigma, i)
+            brs[i] = br.deviation
             gains.append(DeviationGain(i, br.deviation.label, br.gain))
         else:
             for k, dev in enumerate(deviations.explicit_for(i)):
-                tabs = induced_tables(game, sigma, dev)
-                gain = value(game, tabs, i) - base[i]
-                gains.append(DeviationGain(i, dev.label or f"dev{k}", gain))
-    best = gains[0]
-    for g in gains[1:]:
-        if g.gain > best.gain:
-            best = g
-    exact = (not needs_dp) or is_time_layered(game)
-    return RegretReport(regret=best.gain, gains=tuple(gains), best=best, exact=exact)
+                gains.append(DeviationGain(i, dev.label or f"dev{k}", float(next(deviated) - J[i])))
+    best = max(gains, key=lambda g: g.gain)      # the first of equal maxima
+    exact = complete_mode == "enumerate" or not brs or is_time_layered(game)
+    return RegretReport(regret=best.gain, gains=tuple(gains), best=best, exact=exact), J[:m], brs
 
 
 def regret(game: MarkovGame, sigma: MediatorPolicy, deviations: DeviationClass,
@@ -357,16 +403,34 @@ def coverage_constant(game: MarkovGame, expert: MediatorPolicy) -> float:
 
 
 def _u_candidates(game: MarkovGame, expert: MediatorPolicy, deviations: DeviationClass,
-                  agent: int) -> tuple[Deviation, ...]:
-    """Deviations the u constants maximize over for one agent: an explicit
-    class as listed, COMPLETE as the identity plus the per-step best response."""
-    if deviations.is_complete(agent):
-        return (Deviation.identity(game, agent),
-                best_response_deviation(game, expert, agent).deviation)
-    devs = deviations.explicit_for(agent)
-    if not devs:
-        raise ValueError(f"agent {agent}: explicit deviation class is empty")
-    return devs
+                  brs=None, cap: int | None = None) -> list[Deviation]:
+    """Deviations the u constants maximize over: an explicit class as listed;
+    COMPLETE as every stationary map up to ``cap`` when given, else the identity
+    plus the per-step best response, taken from ``brs`` (agent ->
+    deviation) when a regret report already found it."""
+    out = []
+    for i in range(game.num_agents):
+        if not deviations.is_complete(i):
+            if not deviations.explicit_for(i):
+                raise ValueError(f"agent {i}: explicit deviation class is empty")
+            out += deviations.explicit_for(i)
+        elif cap is not None:
+            out += [Deviation(i, table) for table in _stationary_maps(game, i, cap)]
+        else:
+            br = brs[i] if brs else best_response_deviation(game, expert, i).deviation
+            out += [Deviation.identity(game, i), br]
+    return out
+
+
+def _max_abs_advantage(game: MarkovGame, expert: MediatorPolicy, devs) -> float:
+    """max |Q_h(s,a) - V_h(s)| of each deviation's agent under deviated expert
+    play; stationary deviations get their own DP so their tables stay (K, S, A)."""
+    worst = 0.0
+    for group in ([d for d in devs if not d.time_indexed], [d for d in devs if d.time_indexed]):
+        tables = _push(_push_index(game, group), expert.table)
+        for _, Q, V in _backward(game, tables, [d.agent for d in group]):
+            worst = max(worst, float(np.abs(Q - V[:, :, None]).max(initial=0.0)))
+    return worst
 
 
 def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
@@ -383,21 +447,8 @@ def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
     best-response deviation; with ``exact_enumeration`` every stationary
     map is tried instead (small games only).
     """
-    u = 0.0
-
-    def adv_max(dev: Deviation) -> float:
-        tabs = induced_tables(game, expert, dev)
-        _, _, A = advantage_tensor(game, tabs, dev.agent)
-        return float(np.abs(A).max())
-
-    for i in range(game.num_agents):
-        if deviations.is_complete(i) and exact_enumeration:
-            for table in _stationary_maps(game, i, cap):
-                u = max(u, adv_max(Deviation(i, table)))
-        else:
-            for dev in _u_candidates(game, expert, deviations, i):
-                u = max(u, adv_max(dev))
-    return u
+    return _max_abs_advantage(game, expert, _u_candidates(
+        game, expert, deviations, cap=cap if exact_enumeration else None))
 
 
 def moment_recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
@@ -406,38 +457,30 @@ def moment_recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
 
     The advantage is linear in the reward, so its supremum over the box is
     the L1 norm of the influence coefficients: the difference between the
-    discounted visitation starting from (s, a) at step h and the one
-    starting from s alone.  Realized by an explicit sign construction per
-    (h, s, a) cell; the outer max runs over the same deviation set as
-    recoverability_constant's default mode.
+    visitation starting from (s, a) at step h and the one starting from s
+    alone.  Realized by an explicit sign construction per (h, s, a) cell;
+    the outer max runs over the same deviation set as
+    recoverability_constant's default mode.  One backward sweep keeps two
+    (S, S, A) visitation buffers and takes the cells a block of states at a
+    time, so memory stays O(S^2 A).
     """
-    H, S, A = game.horizon, game.n_states, game.n_joint_actions
-
-    def sup_adv(tabs: np.ndarray) -> float:
-        # future[h] maps a step-h state distribution to its (S, A) visitation
-        # mass over steps h..H-1; built backward once, then applied per cell.
-        worst = 0.0
-        # visit[h, s] = (S, A) expected future visitation starting in s at h
-        visit = np.zeros((H + 1, S, S, A))
-        for h in reversed(range(H)):
-            visit[h] = np.eye(S)[:, :, None] * tabs[h][None, :, :]
-            if h + 1 < H:
-                step = np.einsum("sa,sax->sx", tabs[h], game.transition)
-                visit[h] += np.einsum("sx,xuv->suv", step, visit[h + 1])
-        for h in range(H):
-            # from (s, a): current cell plus transition into visit[h+1]
-            cell = np.zeros((S, A, S, A))
-            cell[np.arange(S)[:, None], np.arange(A)[None, :], np.arange(S)[:, None], np.arange(A)[None, :]] = 1.0
-            if h + 1 < H:
-                cell += np.einsum("sax,xuv->sauv", game.transition, visit[h + 1])
-            coeff = cell - visit[h][:, None, :, :]
-            worst = max(worst, float(np.abs(coeff).sum(axis=(2, 3)).max()))
-        return worst
-
+    S, A, T = game.n_states, game.n_joint_actions, game.transition
+    block = max(1, S // A)         # a block's coefficients fit in one buffer
     u = 0.0
-    for i in range(game.num_agents):
-        for dev in _u_candidates(game, expert, deviations, i):
-            u = max(u, sup_adv(induced_tables(game, expert, dev)))
+    for dev in _u_candidates(game, expert, deviations):
+        tabs = induced_tables(game, expert, dev)
+        visit = np.zeros((S, S * A))   # visit[s] = expected future (S, A) visitation from s
+        for h in reversed(range(game.horizon)):
+            nxt = visit                  # from step h + 1 on
+            visit = np.einsum("sa,sax->sx", tabs[h], T) @ nxt
+            visit.reshape(S, S, A)[np.arange(S), np.arange(S)] += tabs[h]
+            for lo in range(0, S, block):
+                s = np.arange(lo, min(lo + block, S))
+                # coeff[s, a] = cell (s, a) + T(.|s, a) visit_{h+1} - visit_h[s]
+                coeff = (T[s] @ nxt).reshape(len(s), A, S, A)
+                coeff -= visit[s].reshape(len(s), 1, S, A)
+                coeff[np.arange(len(s))[:, None], np.arange(A), s[:, None], np.arange(A)] += 1.0
+                u = max(u, float(np.abs(coeff).sum(axis=(2, 3)).max()))
     return u
 
 
@@ -510,10 +553,9 @@ class EvalReport:
 
 def evaluate_pair(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPolicy,
                   deviations: DeviationClass) -> EvalReport:
-    rep_e = regret_report(game, expert, deviations)
-    rep_l = regret_report(game, learner, deviations)
-    ve = values(game, expert)
-    vl = values(game, learner)
+    rep_e, ve, brs = _regret_report(game, expert, deviations)
+    rep_l, vl, _ = _regret_report(game, learner, deviations)
+    occ_e = occupancy_bundle(game, expert)
     return EvalReport(
         values_expert=tuple(float(x) for x in ve),
         values_learner=tuple(float(x) for x in vl),
@@ -521,8 +563,8 @@ def evaluate_pair(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPol
         regret_learner=rep_l,
         value_gap=float(np.max(ve - vl)),
         regret_gap=rep_l.regret - rep_e.regret,
-        beta=coverage_constant(game, expert),
-        u=recoverability_constant(game, expert, deviations),
-        moment_error=moment_matching_error(game, expert, learner, normalized=True),
+        beta=float(occ_e.avg_state.min()),
+        u=_max_abs_advantage(game, expert, _u_candidates(game, expert, deviations, brs)),
+        moment_error=float(np.abs(occ_e.avg_joint - occupancy_bundle(game, learner).avg_joint).sum()),
         exact=rep_e.exact and rep_l.exact,
     )

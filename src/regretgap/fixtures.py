@@ -288,12 +288,19 @@ FIXTURES = {
 }
 
 
+def _check_params(name: str, params) -> None:
+    """Raise ValueError naming the parameters ``name``'s builder does not take."""
+    unknown = sorted(set(params) - set(inspect.signature(FIXTURES[name]).parameters))
+    if unknown:
+        raise ValueError(f"fixture {name!r} does not take parameter(s) {', '.join(unknown)}")
+
+
 def build_fixture(name: str, **params) -> Fixture:
-    """Build a named construction; parameters that are None or that its
-    builder does not take leave the builder's defaults in place."""
-    build = FIXTURES[name]
-    accepted = inspect.signature(build).parameters
-    return build(**{k: v for k, v in params.items() if v is not None and k in accepted})
+    """Build a named construction; None parameters keep the builder's
+    defaults, and a parameter the builder does not take is a ValueError."""
+    params = {k: v for k, v in params.items() if v is not None}
+    _check_params(name, params)
+    return FIXTURES[name](**params)
 
 
 # ---------------------------------------------------------------------------

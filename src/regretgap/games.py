@@ -362,6 +362,19 @@ def validate_policy(game: MarkovGame, policy: MediatorPolicy, atol: float = SIMP
 # ---------------------------------------------------------------------------
 
 
+def _shift(game: MarkovGame, agent: int, maps: np.ndarray) -> np.ndarray:
+    """Joint-index shift of each (..., s, a) cell under maps (..., S, n_i)."""
+    comp = game.agent_component(agent)
+    return (maps[..., comp] - comp) * game.component_stride(agent)
+
+
+def _push(shift: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Move each cell's mass of ``table``, broadcast to ``shift``, by its shift."""
+    flat = (shift + np.arange(shift.size).reshape(shift.shape)).ravel()
+    weights = np.broadcast_to(table, shift.shape).ravel()
+    return np.bincount(flat, weights=weights, minlength=shift.size).reshape(shift.shape)
+
+
 def _pushforward(game: MarkovGame, table: np.ndarray, agent: int, dev_sn: np.ndarray) -> np.ndarray:
     """Joint behavior of the (S, A) table when ``agent`` filters through dev_sn.
 
@@ -370,11 +383,20 @@ def _pushforward(game: MarkovGame, table: np.ndarray, agent: int, dev_sn: np.nda
     replaces j by dev_sn[s, j].  An (S, n_i) map gives an (S, A) table; a
     (K, S, n_i) stack of maps gives the K pushed tables as (K, S, A).
     """
-    comp = game.agent_component(agent)
-    shift = (dev_sn[..., comp] - comp) * game.component_stride(agent)
-    flat = (np.arange(shift.size).reshape(shift.shape) + shift).ravel()
-    weights = np.broadcast_to(table, shift.shape).ravel()
-    return np.bincount(flat, weights=weights, minlength=shift.size).reshape(shift.shape)
+    return _push(_shift(game, agent, dev_sn), table)
+
+
+def _push_index(game: MarkovGame, deviations: Sequence[Deviation], steps: bool = False) -> np.ndarray:
+    """Shifts of K deviations of any agents, built once: ``_push(index, table)``
+    gives the K deviated tables, (K, S, A), or (K, H, S, A) when ``steps`` (a
+    per-step table) or a deviation is time-indexed."""
+    steps = steps or any(dev.time_indexed for dev in deviations)
+    shape = (len(deviations),) + (game.horizon,) * steps + (game.n_states, game.n_joint_actions)
+    index = np.empty(shape, dtype=np.int64)
+    for k, dev in enumerate(deviations):
+        dev.check_for(game)
+        index[k] = _shift(game, dev.agent, dev.table)
+    return index
 
 
 def induced_joint_policy(game: MarkovGame, sigma: MediatorPolicy, deviation: Deviation) -> MediatorPolicy:
@@ -392,38 +414,29 @@ def induced_joint_policy(game: MarkovGame, sigma: MediatorPolicy, deviation: Dev
     return MediatorPolicy(_pushforward(game, sigma.table, deviation.agent, deviation.table))
 
 
+def _policy_array(game: MarkovGame, policy) -> np.ndarray:
+    """A policy-like input as its (S, A) or (H, S, A) array, shape-checked."""
+    arr = policy.table if isinstance(policy, MediatorPolicy) else np.asarray(policy, dtype=np.float64)
+    shape = (game.horizon, game.n_states, game.n_joint_actions)
+    if arr.shape not in (shape, shape[1:]):
+        raise ValueError(f"policy shape {arr.shape} does not match game {shape[1:]} or {shape}")
+    return arr
+
+
 def policy_tables(game: MarkovGame, policy) -> np.ndarray:
     """Normalize a policy-like input to per-step tables of shape (H, S, A).
 
     Accepts a MediatorPolicy, an (S, A) array (stationary), or an (H, S, A)
     array.  Stationary inputs are broadcast without copying.
     """
-    if isinstance(policy, MediatorPolicy):
-        arr = policy.table
-    else:
-        arr = np.asarray(policy, dtype=np.float64)
-    shape = (game.horizon, game.n_states, game.n_joint_actions)
-    if arr.ndim == 2:
-        if arr.shape != shape[1:]:
-            raise ValueError(f"policy table shape {arr.shape} does not match game {shape[1:]}")
-        return np.broadcast_to(arr, shape)
-    if arr.ndim == 3:
-        if arr.shape != shape:
-            raise ValueError(f"per-step policy shape {arr.shape} does not match game {shape}")
-        return arr
-    raise ValueError("policy must be (S, A) or (H, S, A)")
+    arr = _policy_array(game, policy)
+    return arr if arr.ndim == 3 else np.broadcast_to(arr, (game.horizon, *arr.shape))
 
 
 def induced_tables(game: MarkovGame, policy, deviation: Deviation) -> np.ndarray:
     """Per-step (H, S, A) tables of the deviated joint behavior."""
-    deviation.check_for(game)
-    tables = policy_tables(game, policy)
-    H = game.horizon
-    out = np.empty_like(tables)
-    for h in range(H):
-        dev_sn = deviation.table[h] if deviation.time_indexed else deviation.table
-        out[h] = _pushforward(game, tables[h], deviation.agent, dev_sn)
-    return out
+    arr = _policy_array(game, policy)
+    return policy_tables(game, _push(_push_index(game, [deviation], arr.ndim == 3), arr)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .evaluate import (
 )
 from .fixtures import (
     FIXTURES,
+    _check_params,
     alice_lb_game,
     build_fixture,
     coverage_lb_game,
@@ -103,8 +104,9 @@ def write_rows(path, rows) -> None:
             writer.writerow(row.to_csv_dict())
 
 
-def _timed_row(row: ReportRow, started: float) -> ReportRow:
-    row.runtime_ms = (time.perf_counter() - started) * 1000.0
+def _timed_row(row: ReportRow, started: float, setup_ms: float = 0.0) -> ReportRow:
+    """Charge the row the time since ``started`` plus memoized setup work."""
+    row.runtime_ms = (time.perf_counter() - started) * 1000.0 + setup_ms
     return row
 
 
@@ -140,13 +142,16 @@ def property_suite_results(count: int = _PROPERTY_SUITE_SIZE, rounds: int = _PRO
     """Train j_bc / malice / blades on the shared suite once; memoized.
 
     Per game returns the measured coverage, recoverability, expert regret,
-    per-learner imitation error, trained-policy regret and regret gap.
+    per-learner imitation error, trained-policy regret and regret gap, and
+    in ``train_ms`` the wall time that took, which every row built from the
+    game adds to its runtime.
     """
     key = (count, rounds)
     if key in _property_cache:
         return _property_cache[key]
     records = []
     for k, fx, phi in property_suite_games(count):
+        t0 = time.perf_counter()
         game, expert = fx.game, fx.expert
         beta = coverage_constant(game, expert)
         u = recoverability_constant(game, expert, phi)
@@ -157,27 +162,19 @@ def property_suite_results(count: int = _PROPERTY_SUITE_SIZE, rounds: int = _PRO
             "H": game.horizon, "m": game.num_agents, "beta": beta, "u": u,
             "regret_expert": r_expert,
         }
-        sig_bc = j_bc(game, expert=expert, fill_rule="uniform")
-        rec["bc_eps"] = weighted_tv_loss(expert, sig_bc, d_expert)
-        rec["bc_policy"] = sig_bc
-        rec["bc_regret"] = regret(game, sig_bc, phi)
-        rec["bc_gap"] = rec["bc_regret"] - r_expert
-
         cfg = TrainConfig(rounds=rounds, seed=k)
+        sig_bc = j_bc(game, expert=expert, fill_rule="uniform")
         res_m = malice_train(game, expert, phi, cfg)
-        rec["malice_eps"] = res_m.final_loss
-        rec["malice_policy"] = res_m.policy
-        rec["malice_regret"] = regret(game, res_m.policy, phi)
-        rec["malice_gap"] = rec["malice_regret"] - r_expert
-
-        oracle = ExpertOracle(expert)
         demos = sample_demonstrations(game, expert, 200, seed=10_000 + k)
-        res_b = blades_train(game, oracle, demos, phi, cfg)
-        rec["blades_eps"] = res_b.final_loss
-        rec["blades_policy"] = res_b.policy
-        rec["blades_regret"] = regret(game, res_b.policy, phi)
-        rec["blades_gap"] = rec["blades_regret"] - r_expert
+        res_b = blades_train(game, ExpertOracle(expert), demos, phi, cfg)
+        for algo, policy, eps in (("bc", sig_bc, weighted_tv_loss(expert, sig_bc, d_expert)),
+                                  ("malice", res_m.policy, res_m.final_loss),
+                                  ("blades", res_b.policy, res_b.final_loss)):
+            rec.update({f"{algo}_eps": eps, f"{algo}_policy": policy,
+                        f"{algo}_regret": regret(game, policy, phi)})
+            rec[f"{algo}_gap"] = rec[f"{algo}_regret"] - r_expert
         rec["blades_queries"] = res_b.query_count
+        rec["train_ms"] = (time.perf_counter() - t0) * 1000.0
         records.append(rec)
     _property_cache[key] = records
     return records
@@ -313,52 +310,30 @@ def suite_nfg(tol: float = 1e-12) -> list[ReportRow]:
     return rows
 
 
-def suite_jbc_ub(tol: float = BOUND_SLACK) -> list[ReportRow]:
-    """Exact-fit cloning with uniform fill on covered games stays within
-    (eps/beta + 2 eps) * u * H of the expert's regret."""
+def _suite_ub(algo: str, tol: float = BOUND_SLACK) -> list[ReportRow]:
+    """Policies of the shared suite obey their regret-gap bounds: exact-fit
+    cloning with uniform fill (eps/beta + 2 eps) * u * H on covered games,
+    trained MALICE and BLADES 2 * eps_hat * u * H, and BLADES must actually
+    have queried the expert."""
+    key = "bc" if algo == "jbc" else algo
     rows = []
     for rec in property_suite_results():
         t0 = time.perf_counter()
-        eps, beta, u, H = rec["bc_eps"], rec["beta"], rec["u"], rec["H"]
-        bound = (eps / beta) * u * H + 2 * eps * u * H + tol
+        eps, beta, u, H, gap = (rec[k] for k in (f"{key}_eps", "beta", "u", "H", f"{key}_gap"))
+        coverage_term = (eps / beta) * u * H if algo == "jbc" else 0.0
+        bound = coverage_term + 2 * eps * u * H + tol
         rows.append(_timed_row(ReportRow(
-            suite="jbc-ub", fixture=f"random-{rec['index']}", algo="jbc", H=H,
-            m=rec["m"], beta=beta, u=u, eps=eps, seed=rec["index"],
-            regret_gap=rec["bc_gap"], bound=bound, measured=rec["bc_gap"],
-            passed=rec["bc_gap"] <= bound), t0))
+            suite=f"{algo}-ub", fixture=f"random-{rec['index']}", algo=algo, H=H, m=rec["m"],
+            beta=beta, u=u, eps=eps, N=None if algo == "jbc" else _PROPERTY_ROUNDS,
+            seed=rec["index"], regret_gap=gap, bound=bound, measured=gap,
+            passed=gap <= bound and (algo != "blades" or rec["blades_queries"] > 0)),
+            t0, rec["train_ms"]))
     return rows
 
 
-def suite_malice_ub(tol: float = BOUND_SLACK) -> list[ReportRow]:
-    """Trained MALICE policies obey regret_gap <= 2 * eps_hat * u * H."""
-    rows = []
-    for rec in property_suite_results():
-        t0 = time.perf_counter()
-        eps, u, H = rec["malice_eps"], rec["u"], rec["H"]
-        bound = 2 * eps * u * H + tol
-        rows.append(_timed_row(ReportRow(
-            suite="malice-ub", fixture=f"random-{rec['index']}", algo="malice", H=H,
-            m=rec["m"], beta=rec["beta"], u=u, eps=eps, N=_PROPERTY_ROUNDS,
-            seed=rec["index"], regret_gap=rec["malice_gap"], bound=bound,
-            measured=rec["malice_gap"], passed=rec["malice_gap"] <= bound), t0))
-    return rows
-
-
-def suite_blades_ub(tol: float = BOUND_SLACK) -> list[ReportRow]:
-    """Trained BLADES policies obey the same 2 * eps_hat * u * H bound and
-    must actually have queried the expert."""
-    rows = []
-    for rec in property_suite_results():
-        t0 = time.perf_counter()
-        eps, u, H = rec["blades_eps"], rec["u"], rec["H"]
-        bound = 2 * eps * u * H + tol
-        ok = rec["blades_gap"] <= bound and rec["blades_queries"] > 0
-        rows.append(_timed_row(ReportRow(
-            suite="blades-ub", fixture=f"random-{rec['index']}", algo="blades", H=H,
-            m=rec["m"], beta=rec["beta"], u=u, eps=eps, N=_PROPERTY_ROUNDS,
-            seed=rec["index"], regret_gap=rec["blades_gap"], bound=bound,
-            measured=rec["blades_gap"], passed=ok), t0))
-    return rows
+suite_jbc_ub = functools.partial(_suite_ub, "jbc")
+suite_malice_ub = functools.partial(_suite_ub, "malice")
+suite_blades_ub = functools.partial(_suite_ub, "blades")
 
 
 def suite_thm4_ce(tol: float = EQ_TOL) -> list[ReportRow]:
@@ -373,7 +348,7 @@ def suite_thm4_ce(tol: float = EQ_TOL) -> list[ReportRow]:
             ok = ok and is_approx_ce(game, rec[f"{algo}_policy"], phi, max(eps_ce, 0.0))
         rows.append(_timed_row(ReportRow(
             suite="thm4-ce", fixture=f"random-{rec['index']}", H=rec["H"], m=rec["m"],
-            measured=rec["malice_regret"], passed=ok), t0))
+            measured=rec["malice_regret"], passed=ok), t0, rec["train_ms"]))
     return rows
 
 
@@ -625,6 +600,7 @@ def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
     grid = config.get("grid") or {}
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("sweep grid must be nonempty")
+    _check_params(fixture, [{"H": "horizon"}.get(k, k) for k in grid])
     base_seed = int(config.get("base_seed", 0))
     algo = config.get("algo", "")
     rounds = int(config.get("rounds", 200))

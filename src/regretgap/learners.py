@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evaluate import (
+    _forward,
     coverage_constant,
     moment_matching_error,
     occupancy_bundle,
@@ -29,12 +30,14 @@ from .games import (
     DeviationClass,
     MarkovGame,
     MediatorPolicy,
-    induced_tables,
+    _push,
+    _push_index,
 )
 from .losses import (
     SUPPORT_TOL,
     CompositeMaxLoss,
     OCOConfig,
+    WeightedTVLoss,
     blades_components,
     malice_components,
     oco_run,
@@ -281,45 +284,39 @@ def j_irl(game: MarkovGame, expert: MediatorPolicy, rounds: int,
 # ---------------------------------------------------------------------------
 
 
-def _deviated_densities(game: MarkovGame, table: np.ndarray, pairs, mode: str,
-                        n_samples: int, rng) -> list[np.ndarray]:
-    dists = []
-    for _, _, dev in pairs:
-        tabs = induced_tables(game, table, dev)
-        dists.append(state_density(game, tabs, mode=mode, n_samples=n_samples, rng=rng))
-    return dists
-
-
 def _train(game: MarkovGame, deviations: DeviationClass, config: TrainConfig,
            init: MediatorPolicy | None, build_loss) -> TrainResult:
     """The no-regret reduction shared by malice_train and blades_train.
 
     Each round computes the state density of the current iterate under
-    every listed deviation and takes one OCO step on
-    ``build_loss(dists, labels, round_index)``.  In 'mc' mode every iterate
-    is then rescored on a held-out fresh sample of the same size, with
-    ``round_index`` None, and the best rescored one is returned.
+    every listed deviation (exactly: one push and one forward DP for all of
+    them) and takes one OCO step on ``build_loss(dists, labels,
+    round_index)``.  In 'mc' mode every iterate is then rescored on a
+    held-out fresh sample of the same size, with ``round_index`` None, and
+    the best rescored one is returned.
     """
     if not deviations.all_explicit():
         raise ValueError("training needs an explicit, finite deviation class")
     pairs = [(i, dev.label or f"a{i}/dev{k}", dev) for i in range(deviations.num_agents)
              for k, dev in enumerate(deviations.explicit_for(i))]
     labels = [lab for _, lab, _ in pairs]
+    index = _push_index(game, [dev for _, _, dev in pairs])
     rng = np.random.default_rng(config.seed)
 
-    def build(n: int, sigma: np.ndarray) -> CompositeMaxLoss:
-        dists = _deviated_densities(game, sigma, pairs, config.density_mode, config.mc_samples, rng)
-        return build_loss(dists, labels, n)
+    def densities(sigma: np.ndarray, rng) -> list[np.ndarray]:
+        tables = _push(index, sigma)
+        if config.density_mode == "exact":
+            return list(_forward(game, tables).mean(axis=1))
+        return [state_density(game, t, config.density_mode, config.mc_samples, rng) for t in tables]
 
-    run = oco_run(build, (game.n_states, game.n_joint_actions), config.oco_config(),
+    run = oco_run(lambda n, sigma: build_loss(densities(sigma, rng), labels, n),
+                  (game.n_states, game.n_joint_actions), config.oco_config(),
                   init=None if init is None else init.table)
     best, final = run.best_round, float(run.losses[run.best_round])
     if config.density_mode == "mc":
         val_rng = np.random.default_rng(config.seed + 1)
-        val = np.empty(run.tables.shape[0])
-        for n in range(run.tables.shape[0]):
-            dists = _deviated_densities(game, run.tables[n], pairs, "mc", config.mc_samples, val_rng)
-            val[n] = build_loss(dists, labels, None).value(run.tables[n])
+        val = np.array([build_loss(densities(t, val_rng), labels, None).value(t)
+                        for t in run.tables])
         best, final = int(np.argmin(val)), float(val.min())
     trace = tuple(
         TraceRow(n + 1, float(run.losses[n]), pairs[run.achieving[n]][0],
@@ -365,14 +362,25 @@ def blades_train(game: MarkovGame, oracle: ExpertOracle, demos: DemonstrationSet
     ``init``).  Each round computes the state density of the current
     iterate under every listed deviation, queries the oracle once per
     (round, state) with positive mass, and takes one OCO step.  Never reads
-    the expert policy directly.
+    the expert policy directly.  The 'mc' validation pass makes no query:
+    it scores against the last row each state got in training, and a row
+    the rounds never queried stays uniform.
     """
     config = config or TrainConfig()
     if init is None:
         if demos is None or len(demos) == 0:
             raise ValueError("demonstrations are required for initialization")
         init = j_bc(game, demos=demos, fill_rule="uniform")
-    res = _train(game, deviations, config, init,
-                 lambda dists, labels, n: blades_components(oracle, dists, labels=labels,
-                                                            round_index=n))
+    rows = np.full((game.n_states, oracle.n_joint_actions), 1.0 / oracle.n_joint_actions)
+
+    def build_loss(dists, labels, n):
+        if n is None:
+            return CompositeMaxLoss(tuple(WeightedTVLoss(weights=d, target=rows, label=lab)
+                                          for d, lab in zip(dists, labels)))
+        loss = blades_components(oracle, dists, labels=labels, round_index=n)
+        queried = np.max(dists, axis=0) > SUPPORT_TOL
+        rows[queried] = loss.components[0].target[queried]
+        return loss
+
+    res = _train(game, deviations, config, init, build_loss)
     return replace(res, query_count=oracle.query_count, query_log=tuple(oracle.query_log))

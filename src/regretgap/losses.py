@@ -249,18 +249,15 @@ def oco_run(loss_builder: Callable[[int, np.ndarray], CompositeMaxLoss],
         losses[n - 1] = float(vals[k])
         step = eta(n)
         steps[n - 1] = step
-        if config.rule == "eg":
+        if config.rule in ("eg", "pgd"):
             g = loss.components[k].subgradient(sigma)
+            if config.rule == "eg":
+                w = sigma * np.exp(-step * g)
+                new = w / w.sum(axis=1, keepdims=True)
+            else:
+                new = project_rows_to_simplex(sigma - step * g)
             untouched = (g == 0).all(axis=1)
-            w = sigma * np.exp(-step * g)
-            new = w / w.sum(axis=1, keepdims=True)
             new[untouched] = sigma[untouched]  # zero subgradient rows stay bitwise fixed
-            sigma = new
-        elif config.rule == "pgd":
-            g = loss.components[k].subgradient(sigma)
-            untouched = (g == 0).all(axis=1)
-            new = project_rows_to_simplex(sigma - step * g)
-            new[untouched] = sigma[untouched]
             sigma = new
         else:  # ftl: refit every state seen so far to its (shared) target row
             for comp in loss.components:

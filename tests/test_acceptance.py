@@ -62,6 +62,14 @@ def test_criterion_05_blades_bound_and_query_logging():
     assert all(r["blades_queries"] > 0 for r in recs)
 
 
+def test_memoized_training_time_is_charged_to_rows():
+    recs = property_suite_results()
+    assert all(r["train_ms"] > 0 for r in recs)
+    for suite in ("jbc-ub", "malice-ub", "blades-ub", "thm4-ce"):
+        rows = run_suite(suite)
+        assert all(row.runtime_ms >= rec["train_ms"] for row, rec in zip(rows, recs))
+
+
 def test_criterion_06_trained_policies_remain_near_equilibrium():
     rows = run_suite("thm4-ce")
     assert _report(6, "expert regret + regret gap certifies trained policies", rows)

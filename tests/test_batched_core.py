@@ -1,0 +1,274 @@
+"""The batched DP core against the per-deviation path it replaced.
+
+The reference below evaluates one deviation at a time: per-step push of
+the policy through the map, then a forward or backward DP with einsum
+contractions, exactly as the library did before every evaluator and
+learner called one batched forward and one batched backward DP.  Numbers
+must agree to 1e-12; labels, ties and exact zeros must agree exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regretgap import (
+    COMPLETE,
+    Deviation,
+    DeviationClass,
+    ExpertOracle,
+    MediatorPolicy,
+    TrainConfig,
+    best_response_deviation,
+    blades_train,
+    evaluate_pair,
+    malice_train,
+    moment_recoverability_constant,
+    recoverability_constant,
+    regret_report,
+    sample_demonstrations,
+    value,
+    values,
+)
+from regretgap import evaluate, learners
+from regretgap.fixtures import alice_lb_game, coverage_lb_game, fig1_game, random_mg
+from regretgap.games import _push, _push_index, _pushforward, policy_tables
+from regretgap.harness import property_suite_games
+
+TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Reference: one deviation at a time
+# ---------------------------------------------------------------------------
+
+
+def ref_induced(game, policy, dev):
+    tables = policy_tables(game, policy)
+    out = np.empty_like(tables)
+    for h in range(game.horizon):
+        out[h] = _pushforward(game, tables[h], dev.agent,
+                              dev.table[h] if dev.time_indexed else dev.table)
+    return out
+
+
+def ref_states(game, policy):
+    tables = policy_tables(game, policy)
+    d = np.empty((game.horizon, game.n_states))
+    d[0] = game.initial_dist
+    for h in range(game.horizon - 1):
+        d[h + 1] = np.einsum("sa,sax->x", d[h][:, None] * tables[h], game.transition)
+    return d
+
+
+def ref_value_functions(game, policy, agent):
+    tables = policy_tables(game, policy)
+    Q = np.empty(tables.shape)
+    V = np.empty(tables.shape[:2])
+    v_next = np.zeros(game.n_states)
+    for h in reversed(range(game.horizon)):
+        Q[h] = game.rewards[agent] + np.einsum("sax,x->sa", game.transition, v_next)
+        V[h] = (tables[h] * Q[h]).sum(axis=1)
+        v_next = V[h]
+    return Q, V
+
+
+def ref_value(game, policy, agent):
+    return float(game.initial_dist @ ref_value_functions(game, policy, agent)[1][0])
+
+
+def ref_gains(game, sigma, deviations):
+    """(agent, label, gain) per column and the best one, the loop the library ran."""
+    base = [ref_value(game, sigma, i) for i in range(game.num_agents)]
+    gains = []
+    for i in range(game.num_agents):
+        if deviations.is_complete(i):
+            br = best_response_deviation(game, sigma, i)
+            gains.append((i, br.deviation.label, br.gain))
+        else:
+            for k, dev in enumerate(deviations.explicit_for(i)):
+                gain = ref_value(game, ref_induced(game, sigma, dev), i) - base[i]
+                gains.append((i, dev.label or f"dev{k}", gain))
+    best = gains[0]
+    for g in gains[1:]:
+        if g[2] > best[2]:
+            best = g
+    return gains, best
+
+
+def ref_candidates(game, expert, deviations):
+    out = []
+    for i in range(game.num_agents):
+        if deviations.is_complete(i):
+            out += [Deviation.identity(game, i), best_response_deviation(game, expert, i).deviation]
+        else:
+            out += list(deviations.explicit_for(i))
+    return out
+
+
+def ref_u(game, expert, deviations):
+    u = 0.0
+    for dev in ref_candidates(game, expert, deviations):
+        Q, V = ref_value_functions(game, ref_induced(game, expert, dev), dev.agent)
+        u = max(u, float(np.abs(Q - V[:, :, None]).max()))
+    return u
+
+
+def ref_moment(game, expert, deviations):
+    """The O(S^2 A^2)-memory influence-coefficient construction."""
+    H, S, A = game.horizon, game.n_states, game.n_joint_actions
+    u = 0.0
+    for dev in ref_candidates(game, expert, deviations):
+        tabs = ref_induced(game, expert, dev)
+        visit = np.zeros((H + 1, S, S, A))
+        for h in reversed(range(H)):
+            visit[h] = np.eye(S)[:, :, None] * tabs[h][None, :, :]
+            if h + 1 < H:
+                step = np.einsum("sa,sax->sx", tabs[h], game.transition)
+                visit[h] += np.einsum("sx,xuv->suv", step, visit[h + 1])
+        for h in range(H):
+            cell = np.zeros((S, A, S, A))
+            cell[np.arange(S)[:, None], np.arange(A)[None, :],
+                 np.arange(S)[:, None], np.arange(A)[None, :]] = 1.0
+            if h + 1 < H:
+                cell += np.einsum("sax,xuv->sauv", game.transition, visit[h + 1])
+            coeff = cell - visit[h][:, None, :, :]
+            u = max(u, float(np.abs(coeff).sum(axis=(2, 3)).max()))
+    return u
+
+
+def ref_forward(game, tables):
+    """Drop-in for evaluate._forward: one per-step DP per column."""
+    return np.stack([ref_states(game, t) for t in tables])
+
+
+# ---------------------------------------------------------------------------
+# Random instances: m <= 3, time-indexed, duplicate and identity maps
+# ---------------------------------------------------------------------------
+
+
+def random_instance(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    counts = tuple(int(rng.integers(2, 4)) for _ in range(m)) if m < 3 else (2, 2, 2)
+    H = int(rng.integers(1, 5))
+    layered = bool(rng.integers(0, 2)) and H > 1
+    fx = random_mg(rng, n_states=int(rng.integers(H if layered else 2, 6)), horizon=H,
+                   action_counts=counts, layered=layered)
+    game = fx.game
+    S, A = game.n_states, game.n_joint_actions
+    sigma = fx.learner
+    if rng.integers(0, 2):   # one-hot rows: maps that differ off-support push equal tables
+        sigma = MediatorPolicy.deterministic(game, rng.integers(0, A, size=S))
+    per_agent = []
+    for i in range(m):
+        n = game.action_counts[i]
+        if rng.integers(0, 4) == 0:
+            per_agent.append(COMPLETE)
+            continue
+        devs = [Deviation.identity(game, i, label=f"a{i}/id")]
+        for k in range(int(rng.integers(1, 4))):
+            shape = (H, S, n) if rng.integers(0, 2) else (S, n)
+            devs.append(Deviation(i, rng.integers(0, n, size=shape), label=f"a{i}/d{k}"))
+        devs.append(Deviation(i, devs[-1].table, label=f"a{i}/dup"))
+        devs.append(Deviation(i, np.broadcast_to(np.arange(n), (H, S, n)), label=f"a{i}/id-steps"))
+        per_agent.append(tuple(devs))
+    return game, fx.expert, sigma, DeviationClass(tuple(per_agent))
+
+
+def assert_report_matches(game, sigma, deviations):
+    rep = regret_report(game, sigma, deviations)
+    gains, best = ref_gains(game, sigma, deviations)
+    assert [(g.agent, g.label) for g in rep.gains] == [g[:2] for g in gains]
+    np.testing.assert_allclose([g.gain for g in rep.gains], [g[2] for g in gains], rtol=0, atol=TOL)
+    assert (rep.best.agent, rep.best.label) == best[:2]
+    for g in rep.gains:
+        if "id" in g.label:
+            assert g.gain == 0.0
+    for i in range(game.num_agents):
+        if not deviations.is_complete(i):
+            dups = [g.gain for g in rep.gains if g.label in (f"a{i}/dup",)]
+            last = [g.gain for g in rep.gains if g.agent == i][-3]
+            assert dups == [last]       # a duplicate ties its original bitwise
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_batched_core_matches_per_deviation_reference(seed):
+    game, expert, sigma, deviations = random_instance(seed)
+    assert_report_matches(game, sigma, deviations)
+    assert recoverability_constant(game, expert, deviations) == pytest.approx(
+        ref_u(game, expert, deviations), rel=0, abs=TOL)
+    for i in range(game.num_agents):
+        assert value(game, sigma, i) == pytest.approx(ref_value(game, sigma, i), abs=TOL)
+    np.testing.assert_allclose(values(game, sigma),
+                               [ref_value(game, sigma, i) for i in range(game.num_agents)],
+                               rtol=0, atol=TOL)
+    report = evaluate_pair(game, expert, sigma, deviations)
+    np.testing.assert_allclose(report.values_expert, values(game, expert), rtol=0, atol=TOL)
+    assert report.u == pytest.approx(ref_u(game, expert, deviations), abs=TOL)
+    assert report.regret_learner.best == regret_report(game, sigma, deviations).best
+    # the deviated densities of every explicit column at once
+    devs = [d for i in range(game.num_agents) if not deviations.is_complete(i)
+            for d in deviations.explicit_for(i)]
+    if devs:
+        tables = _push(_push_index(game, devs), sigma.table)
+        dists = evaluate._forward(game, tables)
+        for k, dev in enumerate(devs):
+            np.testing.assert_array_equal(policy_tables(game, tables[k]),
+                                          ref_induced(game, sigma, dev))
+            np.testing.assert_allclose(dists[k], ref_states(game, ref_induced(game, sigma, dev)),
+                                       rtol=0, atol=TOL)
+
+
+def test_moment_constant_matches_reference_on_suite_and_fixtures():
+    cases = [(fx.game, fx.expert, phi) for _, fx, phi in property_suite_games(10)]
+    cases += [(fx.game, fx.expert, DeviationClass.complete(2)) for _, fx, _ in property_suite_games(3)]
+    for fx in (fig1_game(6), coverage_lb_game(8, 5, 0.1, 0.01), alice_lb_game(6, 4, 0.2, 0.01)):
+        cases += [(fx.game, fx.expert, fx.witness_class()),
+                  (fx.game, fx.expert, DeviationClass.complete(fx.game.num_agents))]
+    for game, expert, phi in cases:
+        assert moment_recoverability_constant(game, expert, phi) == pytest.approx(
+            ref_moment(game, expert, phi), rel=0, abs=TOL)
+
+
+@pytest.mark.parametrize("algo", ["malice", "blades"])
+def test_training_trajectories_match_reference(algo, monkeypatch):
+    """Same achieving deviation every round and same best round as with the
+    per-deviation forward DP, on the first 10 property-suite games."""
+
+    def train(k, fx, phi):
+        cfg = TrainConfig(rounds=200, seed=k)
+        if algo == "malice":
+            return malice_train(fx.game, fx.expert, phi, cfg)
+        demos = sample_demonstrations(fx.game, fx.expert, 200, seed=10_000 + k)
+        return blades_train(fx.game, ExpertOracle(fx.expert), demos, phi, cfg)
+
+    games = property_suite_games(10)
+    batched = [train(k, fx, phi) for k, fx, phi in games]
+    monkeypatch.setattr(learners, "_forward", ref_forward)
+    for (k, fx, phi), new in zip(games, batched):
+        ref = train(k, fx, phi)
+        assert [r.achieving_deviation for r in new.trace] == \
+            [r.achieving_deviation for r in ref.trace]
+        assert new.best_round == ref.best_round
+        assert new.query_count == ref.query_count
+        assert new.final_loss == pytest.approx(ref.final_loss, abs=TOL)
+
+
+@pytest.mark.parametrize("n_states,counts,copies", [(17, (3,), 6), (33, (3,), 13), (26, (2, 3), 6)])
+def test_equal_columns_share_one_dp_column(n_states, counts, copies):
+    # shapes where one BLAS matmul rounds equal rows differently; identity
+    # copies must still gain exactly 0.0 and equal deviations tie exactly
+    fx = random_mg(n_states * 100 + int(np.prod(counts)), n_states=n_states, horizon=3,
+                   action_counts=counts)
+    game = fx.game
+    rnd = Deviation(0, np.random.default_rng(1).integers(0, counts[0], size=(n_states, counts[0])))
+    per_agent = [tuple(Deviation.identity(game, 0, label=f"id{k}") for k in range(copies))
+                 + tuple(Deviation(0, rnd.table, label=f"rnd{k}") for k in range(copies))]
+    per_agent += [(Deviation.identity(game, i),) for i in range(1, len(counts))]
+    rep = regret_report(game, fx.learner, DeviationClass(tuple(per_agent)))
+    gains = [g.gain for g in rep.gains if g.agent == 0]
+    assert gains[:copies] == [0.0] * copies
+    assert len(set(gains[copies:])) == 1
+    assert rep.best.label == ("id0" if gains[-1] <= 0.0 else "rnd0")

@@ -38,6 +38,12 @@ class TestGen:
         rc = main(["gen", "--name", "nosuch", "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
 
+    def test_parameter_the_fixture_does_not_take_exit_2(self, tmp_path):
+        out = tmp_path / "g"
+        rc = main(["gen", "--name", "fig1", "--eps", "0.5", "--u", "99", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists() or not any(out.iterdir())
+
     def test_generated_files_reload(self, tmp_path):
         main(["gen", "--name", "coverage-lb", "--out", str(tmp_path)])
         game = io.load_game(tmp_path / "game.json")
@@ -243,6 +249,20 @@ class TestSweep:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"grid": {}, "fixture": "fig1"}))
         assert main(["sweep", "--config", str(cfg_path)]) == EXIT_USAGE
+
+    def test_grid_key_the_fixture_does_not_take_is_config_error(self, tmp_path, monkeypatch):
+        import regretgap.harness as harness
+
+        cells = []
+        monkeypatch.setattr(harness, "_sweep_cell", lambda *args: cells.append(args))
+        with pytest.raises(ValueError, match="u"):
+            run_sweep({"grid": {"H": [4, 6], "u": [3.0]}, "fixture": "fig1"})
+        assert cells == []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"H": [4], "gamma": [1]}, "fixture": "fig1",
+                                        "out": str(tmp_path / "s.csv")}))
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert not (tmp_path / "s.csv").exists()
 
     def test_cell_failures_recorded_not_raised(self, tmp_path):
         # H=3 is below the coverage construction's floor, so that cell errors

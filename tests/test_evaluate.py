@@ -244,6 +244,21 @@ class TestStructuralConstants:
         u_worst = moment_recoverability_constant(fx.game, fx.expert, dc)
         assert u_worst >= u_true - 1e-12
 
+    def test_moment_u_memory_stays_quadratic_in_states(self):
+        # S = 60, A = 16: one (S, A, S, A) tensor alone would take 7.4 MB
+        import tracemalloc
+
+        fx = random_mg(34, n_states=60, horizon=4, action_counts=(4, 4))
+        dc = DeviationClass.identities(fx.game)
+        tracemalloc.start()
+        try:
+            u = moment_recoverability_constant(fx.game, fx.expert, dc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert u >= recoverability_constant(fx.game, fx.expert, dc) - 1e-12
+
 
 class TestBestResponse:
     def test_obedient_optimum_returns_identity_and_zero(self):

@@ -20,6 +20,7 @@ from regretgap import (
 )
 from regretgap.fixtures import (
     alice_lb_game,
+    build_fixture,
     coverage_lb_game,
     fig1_game,
     multi_ce_nfg,
@@ -69,6 +70,13 @@ class TestFig1:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
             fig1_game(2)
+
+
+def test_build_fixture_rejects_parameters_the_builder_does_not_take():
+    with pytest.raises(ValueError, match="eps, u"):
+        build_fixture("fig1", horizon=5, eps=0.5, u=99)
+    assert build_fixture("fig1", horizon=5, eps=None).game.horizon == 5
+    assert build_fixture("coverage-lb", eps=0.002).params["eps"] == 0.002
 
 
 class TestCoverageLB:

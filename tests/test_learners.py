@@ -264,6 +264,18 @@ class TestBladesTrain:
         assert res.query_count == len(res.query_log) == len(pairs)
         assert res.query_count > 0
 
+    def test_mc_validation_makes_no_queries(self):
+        # the held-out rescoring uses the rows the rounds returned, so every
+        # query belongs to a training round
+        fx = fig1_game(6)
+        oracle = ExpertOracle(fx.expert)
+        demos = sample_demonstrations(fx.game, fx.expert, 50, seed=0)
+        cfg = TrainConfig(rounds=20, density_mode="mc", mc_samples=500, seed=0)
+        res = blades_train(fx.game, oracle, demos, DeviationClass.identities(fx.game), cfg)
+        assert res.query_count == len(res.query_log) > 0
+        assert all(entry["round"] is not None for entry in res.query_log)
+        assert {entry["round"] for entry in res.query_log} <= set(range(1, 21))
+
     def test_never_reads_expert_directly(self):
         # blades only needs the oracle; a censored expert policy object is
         # never touched beyond query()
