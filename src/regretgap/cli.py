@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import io
 from .evaluate import evaluate_pair, occupancy_bundle, regret_gap, value_gap
-from .fixtures import FIXTURES, build_fixture, multi_ce_nfg, random_mg
+from .fixtures import FIXTURES, _check_params, multi_ce_nfg, random_mg
 from .games import (
     CoverageError,
     DeviationClass,
@@ -47,9 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--u", type=float, default=None)
     p_gen.add_argument("--beta", type=float, default=None)
     p_gen.add_argument("--eps", type=float, default=None)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--states", type=int, default=4)
-    p_gen.add_argument("--agents", type=int, default=2)
+    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--states", type=int, default=None)
+    p_gen.add_argument("--agents", type=int, default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate an expert/learner pair")
     p_eval.add_argument("--game", required=True)
@@ -85,9 +85,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _random_fixture(seed: int = 0, states: int = 4, agents: int = 2, horizon: int = 4):
+    return random_mg(seed, n_states=states, horizon=horizon, action_counts=(2,) * agents,
+                     full_coverage_expert=True)
+
+
 def _cmd_gen(args) -> int:
     out = Path(args.out)
     name = args.name
+    builder = {**FIXTURES, "multi-ce-nfg": multi_ce_nfg, "random": _random_fixture}[name]
+    params = {k: v for k, v in vars(args).items()
+              if k in ("horizon", "u", "beta", "eps", "seed", "states", "agents") and v is not None}
+    _check_params(name, builder, params)
     written = []
     if name == "multi-ce-nfg":
         fx_r, fx_rp = multi_ce_nfg()
@@ -99,12 +108,7 @@ def _cmd_gen(args) -> int:
         written.append(io.save_json({"r": fx_r.expected, "rprime": fx_rp.expected},
                                     out / "expected.json"))
     else:
-        if name == "random":
-            fx = random_mg(args.seed, n_states=args.states, action_counts=tuple([2] * args.agents),
-                           full_coverage_expert=True,
-                           **({} if args.horizon is None else {"horizon": args.horizon}))
-        else:
-            fx = build_fixture(name, horizon=args.horizon, u=args.u, beta=args.beta, eps=args.eps)
+        fx = builder(**params)
         out.mkdir(parents=True, exist_ok=True)
         written.append(io.save_game(fx.game, out / "game.json"))
         written.append(io.save_policy(fx.expert, out / "expert.json"))

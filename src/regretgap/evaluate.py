@@ -46,18 +46,24 @@ from .games import (
 # ---------------------------------------------------------------------------
 
 
-def _distinct(*stacks) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(*stacks):
     """First position of each bitwise-distinct column of the stacks, and the
-    inverse index.  BLAS may round equal columns of one matmul differently,
-    so equal inputs share one DP column to get bitwise-equal results."""
+    inverse index; both are ``slice(None)`` when every column is distinct.
+    BLAS may round equal columns of one matmul differently, so equal inputs
+    share one DP column to get bitwise-equal results."""
     K = len(stacks[0])
     if K == 1:
-        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        return slice(None), slice(None)
     rows = np.ascontiguousarray(np.column_stack([np.reshape(x, (K, -1)) for x in stacks]))
     seen: dict = {}
-    inverse = np.array([seen.setdefault(key, len(seen)) for key in
-                        rows.view(np.dtype((np.void, rows[0].nbytes))).ravel().tolist()])
-    return np.unique(inverse, return_index=True)[1], inverse
+    first, inverse = [], []
+    for k, key in enumerate(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel().tolist()):
+        inverse.append(seen.setdefault(key, len(seen)))
+        if len(seen) > len(first):
+            first.append(k)
+    if len(first) == K:
+        return slice(None), slice(None)
+    return np.array(first), np.array(inverse)
 
 
 def _forward(game: MarkovGame, tables: np.ndarray) -> np.ndarray:
@@ -66,13 +72,13 @@ def _forward(game: MarkovGame, tables: np.ndarray) -> np.ndarray:
     step: the per-step state distributions (K, H, S)."""
     first, inverse = _distinct(tables)
     tables = tables[first]
-    H, S = game.horizon, game.n_states
+    K, H, S = len(tables), game.horizon, game.n_states
     T2 = game.transition.reshape(-1, S)
-    d = np.empty((len(first), H, S))
+    d = np.empty((K, H, S))
     d[:, 0] = game.initial_dist
     for h in range(H - 1):
         pi = tables if tables.ndim == 3 else tables[:, h]
-        d[:, h + 1] = (d[:, h, :, None] * pi).reshape(len(first), -1) @ T2
+        d[:, h + 1] = (d[:, h, :, None] * pi).reshape(K, -1) @ T2
     return d[inverse]
 
 

@@ -288,9 +288,9 @@ FIXTURES = {
 }
 
 
-def _check_params(name: str, params) -> None:
-    """Raise ValueError naming the parameters ``name``'s builder does not take."""
-    unknown = sorted(set(params) - set(inspect.signature(FIXTURES[name]).parameters))
+def _check_params(name: str, builder, params) -> None:
+    """Raise ValueError naming the parameters the builder of ``name`` does not take."""
+    unknown = sorted(set(params) - set(inspect.signature(builder).parameters))
     if unknown:
         raise ValueError(f"fixture {name!r} does not take parameter(s) {', '.join(unknown)}")
 
@@ -299,7 +299,7 @@ def build_fixture(name: str, **params) -> Fixture:
     """Build a named construction; None parameters keep the builder's
     defaults, and a parameter the builder does not take is a ValueError."""
     params = {k: v for k, v in params.items() if v is not None}
-    _check_params(name, params)
+    _check_params(name, FIXTURES[name], params)
     return FIXTURES[name](**params)
 
 

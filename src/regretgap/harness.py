@@ -600,7 +600,7 @@ def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
     grid = config.get("grid") or {}
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("sweep grid must be nonempty")
-    _check_params(fixture, [{"H": "horizon"}.get(k, k) for k in grid])
+    _check_params(fixture, FIXTURES[fixture], [{"H": "horizon"}.get(k, k) for k in grid])
     base_seed = int(config.get("base_seed", 0))
     algo = config.get("algo", "")
     rounds = int(config.get("rounds", 200))

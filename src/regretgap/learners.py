@@ -19,7 +19,6 @@ import numpy as np
 from .evaluate import (
     _forward,
     coverage_constant,
-    moment_matching_error,
     occupancy_bundle,
     regret,
     state_density,
@@ -258,14 +257,16 @@ def j_irl(game: MarkovGame, expert: MediatorPolicy, rounds: int,
     errors: list[float] = []
     best_err, best_table, best_round = np.inf, None, 0
     for n in range(1, rounds + 1):
-        candidate = _stationarize(mix_sum / n, uniform_row)
-        err = moment_matching_error(game, expert, MediatorPolicy(candidate), normalized=True)
+        mix = mix_sum / n
+        candidate = _stationarize(mix, uniform_row)
+        d = _forward(game, candidate[None])[0]
+        err = float(np.abs(rho_expert - (d[:, :, None] * candidate).mean(axis=0)).sum())
         errors.append(err)
         if err < best_err:
             best_err, best_table, best_round = err, candidate, n
         if best_err <= tol:
             break
-        residual = rho_expert - (mix_sum / n).mean(axis=0)
+        residual = rho_expert - mix.mean(axis=0)
         if regularizer_weight > 0:
             f = np.clip(residual / (2.0 * regularizer_weight), -1.0, 1.0)
         else:
@@ -274,7 +275,7 @@ def j_irl(game: MarkovGame, expert: MediatorPolicy, rounds: int,
             new_tables = _greedy_joint_policy(game, f)
         else:
             new_tables = _soft_joint_policy(game, f, temperature)
-        mix_sum += occupancy_bundle(game, new_tables).per_step_joint
+        mix_sum += _forward(game, new_tables[None])[0][:, :, None] * new_tables
     return JIRLResult(policy=MediatorPolicy(best_table), errors=tuple(errors),
                       best_round=best_round, final_error=best_err, rounds_run=len(errors))
 

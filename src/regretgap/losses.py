@@ -68,8 +68,14 @@ class CompositeMaxLoss:
         object.__setattr__(self, "components", tuple(self.components))
 
     def component_values(self, policy) -> np.ndarray:
+        """Each component's value; components sharing one target object
+        share one per-state TV row."""
         t = _table(policy)
-        return np.array([c.value(t) for c in self.components])
+        tv: dict[int, np.ndarray] = {}
+        for c in self.components:
+            if id(c.target) not in tv:
+                tv[id(c.target)] = tv_rows(c.target, t)
+        return np.array([float(c.weights @ tv[id(c.target)]) for c in self.components])
 
     def achieving(self, policy) -> int:
         """Index of the max component; the lowest index wins ties."""
@@ -95,15 +101,6 @@ def weighted_tv_loss(target, policy, weights: np.ndarray, atol: float = 1e-9) ->
     return float(w @ tv_rows(_table(target), _table(policy)))
 
 
-def _check_support(d_expert: np.ndarray, deviated: np.ndarray, label: str) -> None:
-    bad = (deviated > SUPPORT_TOL) & (d_expert <= SUPPORT_TOL)
-    if bad.any():
-        raise CoverageError(
-            f"deviated distribution {label!r} puts mass on states the expert never "
-            f"visits (states {np.nonzero(bad)[0].tolist()}); importance weights undefined"
-        )
-
-
 def malice_components(expert, d_expert: np.ndarray, deviated_dists: Sequence[np.ndarray],
                       labels: Sequence[str] | None = None) -> CompositeMaxLoss:
     """Importance-weighted imitation loss, one component per deviation.
@@ -114,13 +111,17 @@ def malice_components(expert, d_expert: np.ndarray, deviated_dists: Sequence[np.
     without it.
     """
     t = _table(expert)
-    labels = list(labels) if labels is not None else [f"dev{k}" for k in range(len(deviated_dists))]
-    comps = []
-    for k, dist in enumerate(deviated_dists):
-        dist = np.asarray(dist, dtype=np.float64)
-        _check_support(np.asarray(d_expert, dtype=np.float64), dist, labels[k])
-        comps.append(WeightedTVLoss(weights=dist, target=t, label=labels[k]))
-    return CompositeMaxLoss(tuple(comps))
+    dists = np.asarray(deviated_dists, dtype=np.float64).reshape(-1, np.size(d_expert))
+    labels = list(labels) if labels is not None else [f"dev{k}" for k in range(len(dists))]
+    bad = (dists > SUPPORT_TOL) & (np.asarray(d_expert, dtype=np.float64) <= SUPPORT_TOL)
+    if bad.any():
+        k = int(bad.any(axis=1).argmax())
+        raise CoverageError(
+            f"deviated distribution {labels[k]!r} puts mass on states the expert never "
+            f"visits (states {np.nonzero(bad[k])[0].tolist()}); importance weights undefined"
+        )
+    return CompositeMaxLoss(tuple(WeightedTVLoss(weights=d, target=t, label=labels[k])
+                                  for k, d in enumerate(dists)))
 
 
 def malice_loss(expert, policy, d_expert: np.ndarray, deviated_dists: Sequence[np.ndarray],

@@ -5,6 +5,10 @@ the policy through the map, then a forward or backward DP with einsum
 contractions, exactly as the library did before every evaluator and
 learner called one batched forward and one batched backward DP.  Numbers
 must agree to 1e-12; labels, ties and exact zeros must agree exactly.
+
+The learner rounds have references of their own: one TV row per loss
+component, and the j_irl loop that rebuilt the expert occupancy and two
+occupancy bundles every round.  Those must agree bitwise.
 """
 
 import numpy as np
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 
 from regretgap import (
     COMPLETE,
+    CompositeMaxLoss,
     Deviation,
     DeviationClass,
     ExpertOracle,
@@ -22,8 +27,11 @@ from regretgap import (
     best_response_deviation,
     blades_train,
     evaluate_pair,
+    j_irl,
     malice_train,
+    moment_matching_error,
     moment_recoverability_constant,
+    occupancy_bundle,
     recoverability_constant,
     regret_report,
     sample_demonstrations,
@@ -143,6 +151,47 @@ def ref_forward(game, tables):
 
 
 # ---------------------------------------------------------------------------
+# Reference: the learner rounds as they ran before the rework
+# ---------------------------------------------------------------------------
+
+
+def ref_component_values(self, policy):
+    """Drop-in for CompositeMaxLoss.component_values: one TV row per component."""
+    return np.array([c.value(policy) for c in self.components])
+
+
+def ref_j_irl(game, expert, rounds, policy_player="exact-br", temperature=1.0,
+              regularizer_weight=0.0, init=None, tol=1e-9):
+    """The j_irl loop that rebuilt the expert occupancy and two occupancy
+    bundles every round; returns (errors, best_round, rounds_run, table)."""
+    rho_expert = occupancy_bundle(game, expert).avg_joint
+    current = init if init is not None else MediatorPolicy.uniform(game)
+    mix_sum = occupancy_bundle(game, current).per_step_joint.copy()
+    uniform_row = np.full(game.n_joint_actions, 1.0 / game.n_joint_actions)
+    errors = []
+    best_err, best_table, best_round = np.inf, None, 0
+    for n in range(1, rounds + 1):
+        candidate = learners._stationarize(mix_sum / n, uniform_row)
+        err = moment_matching_error(game, expert, MediatorPolicy(candidate), normalized=True)
+        errors.append(err)
+        if err < best_err:
+            best_err, best_table, best_round = err, candidate, n
+        if best_err <= tol:
+            break
+        residual = rho_expert - (mix_sum / n).mean(axis=0)
+        if regularizer_weight > 0:
+            f = np.clip(residual / (2.0 * regularizer_weight), -1.0, 1.0)
+        else:
+            f = np.sign(residual)
+        if policy_player == "exact-br":
+            new_tables = learners._greedy_joint_policy(game, f)
+        else:
+            new_tables = learners._soft_joint_policy(game, f, temperature)
+        mix_sum += occupancy_bundle(game, new_tables).per_step_joint
+    return tuple(errors), best_round, len(errors), best_table
+
+
+# ---------------------------------------------------------------------------
 # Random instances: m <= 3, time-indexed, duplicate and identity maps
 # ---------------------------------------------------------------------------
 
@@ -234,8 +283,10 @@ def test_moment_constant_matches_reference_on_suite_and_fixtures():
 
 @pytest.mark.parametrize("algo", ["malice", "blades"])
 def test_training_trajectories_match_reference(algo, monkeypatch):
-    """Same achieving deviation every round and same best round as with the
-    per-deviation forward DP, on the first 10 property-suite games."""
+    """On the first 10 property-suite games: bitwise the same trace, final
+    loss and query count as with one TV row per loss component, and the
+    same achieving deviation every round and best round as with the
+    per-deviation forward DP."""
 
     def train(k, fx, phi):
         cfg = TrainConfig(rounds=200, seed=k)
@@ -246,6 +297,14 @@ def test_training_trajectories_match_reference(algo, monkeypatch):
 
     games = property_suite_games(10)
     batched = [train(k, fx, phi) for k, fx, phi in games]
+    monkeypatch.setattr(CompositeMaxLoss, "component_values", ref_component_values)
+    for (k, fx, phi), new in zip(games, batched):
+        ref = train(k, fx, phi)
+        assert new.trace == ref.trace
+        assert new.final_loss == ref.final_loss
+        assert new.best_round == ref.best_round
+        assert new.query_count == ref.query_count
+        np.testing.assert_array_equal(new.policy.table, ref.policy.table)
     monkeypatch.setattr(learners, "_forward", ref_forward)
     for (k, fx, phi), new in zip(games, batched):
         ref = train(k, fx, phi)
@@ -254,6 +313,37 @@ def test_training_trajectories_match_reference(algo, monkeypatch):
         assert new.best_round == ref.best_round
         assert new.query_count == ref.query_count
         assert new.final_loss == pytest.approx(ref.final_loss, abs=TOL)
+
+
+JIRL_VARIANTS = {
+    "exact-br": {},
+    "soft-vi": {"policy_player": "soft-vi", "temperature": 0.5},
+    "regularized": {"regularizer_weight": 0.05},
+}
+
+
+@pytest.mark.parametrize("variant", [*JIRL_VARIANTS, "init", "init-expert"])
+def test_j_irl_matches_reference_loop(variant):
+    """j_irl against the loop that rebuilt every occupancy each round,
+    bitwise, on the first 10 property-suite games and coverage_lb_game."""
+    cases = [(fx.game, fx.expert) for _, fx, _ in property_suite_games(10)]
+    cov = coverage_lb_game()
+    cases.append((cov.game, cov.expert))
+    for c, (game, expert) in enumerate(cases):
+        kwargs = dict(JIRL_VARIANTS.get(variant, {}))
+        if variant == "init":
+            rng = np.random.default_rng(c)
+            kwargs["init"] = MediatorPolicy(rng.dirichlet(np.ones(game.n_joint_actions),
+                                                          size=game.n_states))
+        elif variant == "init-expert":
+            kwargs["init"] = expert
+        res = j_irl(game, expert, rounds=100, **kwargs)
+        errors, best_round, rounds_run, table = ref_j_irl(game, expert, 100, **kwargs)
+        assert res.errors == errors
+        assert (res.best_round, res.rounds_run) == (best_round, rounds_run)
+        np.testing.assert_array_equal(res.policy.table, table)
+        if variant == "init-expert":
+            assert rounds_run == 1      # the early stop ran
 
 
 @pytest.mark.parametrize("n_states,counts,copies", [(17, (3,), 6), (33, (3,), 13), (26, (2, 3), 6)])

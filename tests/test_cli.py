@@ -44,6 +44,18 @@ class TestGen:
         assert rc == EXIT_USAGE
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("name,flags,named", [
+        ("random", ["--eps", "0.5", "--u", "99"], "eps, u"),
+        ("multi-ce-nfg", ["--horizon", "7"], "horizon"),
+        ("fig1", ["--states", "9"], "states"),
+    ], ids=["random", "multi-ce-nfg", "fig1"])
+    def test_flag_the_named_fixture_does_not_take_exit_2(self, tmp_path, capsys, name, flags, named):
+        out = tmp_path / "g"
+        rc = main(["gen", "--name", name, *flags, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+        assert f"does not take parameter(s) {named}" in capsys.readouterr().err
+
     def test_generated_files_reload(self, tmp_path):
         main(["gen", "--name", "coverage-lb", "--out", str(tmp_path)])
         game = io.load_game(tmp_path / "game.json")

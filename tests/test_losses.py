@@ -22,7 +22,7 @@ from regretgap import (
 )
 from regretgap.fixtures import alice_lb_game, coverage_lb_game, random_mg
 from regretgap.games import induced_tables
-from regretgap.losses import project_rows_to_simplex, tv_rows
+from regretgap.losses import malice_components, project_rows_to_simplex, tv_rows
 
 
 def rand_simplex(rng, shape):
@@ -98,6 +98,15 @@ class TestMaliceLoss:
         bad[0] = 1.0
         with pytest.raises(CoverageError):
             malice_loss(fx.expert, fx.learner, d_hole, [bad])
+
+    def test_support_violation_names_first_offending_label(self):
+        d_e = np.array([0.5, 0.0, 0.5, 0.0])
+        ok = np.array([0.5, 0.0, 0.5, 0.0])
+        first = np.array([0.25, 0.25, 0.25, 0.25])
+        second = np.array([0.0, 1.0, 0.0, 0.0])
+        expert = MediatorPolicy(np.full((4, 2), 0.5))
+        with pytest.raises(CoverageError, match=r"'first' puts mass .* \(states \[1, 3\]\)"):
+            malice_components(expert, d_e, [ok, first, second], labels=["ok", "first", "second"])
 
     def test_value_in_unit_interval(self):
         fx, d_e, dists = self._setup(seed=8)
@@ -191,6 +200,17 @@ class TestSubgradient:
         comp = CompositeMaxLoss((a, b))
         x = np.array([[0.25, 0.75]])
         assert comp.achieving(x) == 0
+
+    def test_component_values_with_shared_and_distinct_targets(self):
+        # components sharing one target object share one TV row; each value
+        # must still equal that component's own value bitwise
+        rng = np.random.default_rng(3)
+        t1, t2 = rand_simplex(rng, (5, 3)), rand_simplex(rng, (5, 3))
+        comps = tuple(WeightedTVLoss(weights=rng.dirichlet(np.ones(5)), target=t, label=str(k))
+                      for k, t in enumerate((t1, t2, t1, t1.copy(), t2)))
+        x = rand_simplex(rng, (5, 3))
+        vals = CompositeMaxLoss(comps).component_values(x)
+        assert vals.tolist() == [c.value(x) for c in comps]
 
 
 class TestConvexityProperties:
