@@ -165,13 +165,14 @@ def _cmd_eval(args) -> int:
         deviations = _explicit_class(game, args.deviation_file)
     t0 = time.perf_counter()
     result = evaluate_pair(game, expert, learner, deviations)
+    runtime_ms = (time.perf_counter() - t0) * 1000.0
     if args.out_json:
         io.save_json(result.to_json_dict(), args.out_json)
     row = ReportRow(
         suite="eval", fixture=Path(args.game).stem, H=game.horizon, m=game.num_agents,
         beta=result.beta, u=result.u, value_gap=result.value_gap,
         regret_gap=result.regret_gap, measured=result.regret_gap, passed=True,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
+        runtime_ms=runtime_ms, exact=result.exact,
     )
     if args.out_csv:
         write_rows(args.out_csv, [row])

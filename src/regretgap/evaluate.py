@@ -52,7 +52,7 @@ def _distinct(*stacks):
     BLAS may round equal columns of one matmul differently, so equal inputs
     share one DP column to get bitwise-equal results."""
     K = len(stacks[0])
-    if K == 1:
+    if K <= 1:
         return slice(None), slice(None)
     rows = np.ascontiguousarray(np.column_stack([np.reshape(x, (K, -1)) for x in stacks]))
     seen: dict = {}
@@ -82,32 +82,91 @@ def _forward(game: MarkovGame, tables: np.ndarray) -> np.ndarray:
     return d[inverse]
 
 
-def _backward(game: MarkovGame, tables: np.ndarray, agents):
+def _backward(game: MarkovGame, tables: np.ndarray, agents, sigma=None, br_agents=()):
     """Backward DP Q_h(s,a) = r_i(s,a) + sum_{s'} T(s'|s,a) V_{h+1}(s'),
-    V_h(s) = sum_a pi_h(a|s) Q_h(s,a), for K (policy, agent) columns at once,
-    one matmul per step; policies are (K, S, A) or (K, H, S, A).  Yields
-    (h, Q_h (K, S, A), V_h (K, S)) for h = H-1, ..., 0; the next step
-    overwrites Q_h."""
+    V_h(s) = sum_a pi_h(a|s) Q_h(s,a), for K (policy, agent) columns at once;
+    policies are (K, S, A) or (K, H, S, A).  Each agent in ``br_agents`` adds
+    two rows against the (S, A) policy ``sigma``: its best-response
+    recursion (Q_h = r + T W_{h+1}, V_h = W_h, the value of filtering the
+    recommendations optimally) and its obedient value by the same
+    arithmetic.  One matmul per step advances every row.  Yields (h, Q_h,
+    V_h, maps_h), maps_h holding each best response's (S, n_i) argmax map;
+    the next step overwrites Q_h."""
     S, A = game.n_states, game.n_joint_actions
     T2t = game.transition.reshape(S * A, S).T
-    agents = np.asarray(agents, dtype=np.int64)
-    rewards = game.rewards[agents if len(set(agents.tolist())) > 1 else agents[:1]]
-    Q, V = np.empty((len(tables), S, A)), np.zeros((len(tables), S))
+    K = len(tables)
+    rows = np.concatenate([np.asarray(agents, dtype=np.int64), np.repeat(br_agents, 2).astype(np.int64)])
+    rewards = game.rewards[rows if len(set(rows.tolist())) > 1 else rows[:1]]
+    # gather[j, x]: the joint action of own action j and the others' actions x
+    gathers = [np.moveaxis(np.arange(A).reshape(game.action_counts), i, 0).reshape(
+        game.action_counts[i], -1) for i in br_agents]
+    sig = [sigma[:, g] for g in gathers]                    # (S, n, R) per agent
+    Q, V = np.empty((len(rows), S, A)), np.zeros((len(rows), S))
     for h in reversed(range(game.horizon)):
         pi = tables if tables.ndim == 3 else tables[:, h]
+        # W == V bitwise shares one row, so G_dev is G_obey and a gain stays 0.0
+        shared = [np.array_equal(V[k], V[k + 1]) for k in range(K, len(rows), 2)]
         np.matmul(V, T2t, out=Q.reshape(-1, S * A))
         Q += rewards
-        V = np.einsum("ksa,ksa->ks", pi, Q)
-        yield h, Q, V
+        V = np.empty_like(V)
+        V[:K] = np.einsum("ksa,ksa->ks", pi, Q[:K])
+        maps_h = []
+        for k, g, sig_r, same in zip(range(K, len(rows), 2), gathers, sig, shared):
+            own = np.arange(len(g))
+            # U[s, j, b]: mass of recommendation j times expected payoff of playing b
+            U_dev = np.einsum("sjx,sbx->sjb", sig_r, Q[k][:, g])
+            if same:
+                Q[k + 1] = Q[k]
+            U_obey = U_dev if same else np.einsum("sjx,sbx->sjb", sig_r, Q[k + 1][:, g])
+            best = U_dev.max(axis=2)                          # (S, n)
+            diag = U_dev[:, own, own]
+            first_argmax = np.argmax(U_dev == best[:, :, None], axis=2)
+            maps_h.append(np.where(diag == best, own[None, :], first_argmax))
+            V[k] = best.sum(axis=1)
+            V[k + 1] = U_obey[:, own, own].sum(axis=1)
+        yield h, Q, V, maps_h
 
 
 def _values(game: MarkovGame, tables: np.ndarray, agents) -> np.ndarray:
     """J of K (policy, agent) columns, as a (K,) array."""
     agents = np.asarray(agents, dtype=np.int64)
     first, inverse = _distinct(tables, agents)
-    for _, _, V in _backward(game, tables[first], agents[first]):
+    for _, _, V, _ in _backward(game, tables[first], agents[first]):
         pass
     return (V @ game.initial_dist)[inverse]
+
+
+@dataclass(frozen=True)
+class BestResponse:
+    deviation: Deviation           # time-indexed argmax map per (h, s, recommended)
+    gain: float                    # J_i(deviated) - J_i(obedient), never negative
+    deviated_value: float
+    obedient_value: float
+
+
+def _sweep(game: MarkovGame, sigma: np.ndarray, devs, br_agents=()):
+    """One backward DP against the (S, A) policy sigma: J of each deviation's
+    agent under sigma pushed through it, the best response of each agent in
+    ``br_agents``, and max |Q_h(s,a) - V_h(s)| of each deviated play, the
+    deviations first, then the best responses."""
+    S, A = game.n_states, game.n_joint_actions
+    agents = np.array([dev.agent for dev in devs], dtype=np.int64)
+    tables = _push(_push_index(game, devs), sigma)
+    first, inverse = _distinct(tables, agents)
+    tables, agents = tables[first], agents[first]
+    K = len(tables)
+    adv, steps = np.zeros(K + 2 * len(br_agents)), []
+    for _, Q, V, maps_h in _backward(game, tables, agents, sigma, br_agents):
+        gap = Q - V[:, :, None]
+        np.maximum(adv, np.abs(gap, out=gap).reshape(len(adv), S * A).max(axis=1), out=adv)
+        steps.append(maps_h)
+    brs = {}
+    for b, i in enumerate(br_agents):
+        deviated, obedient = (float(game.initial_dist @ V[K + 2 * b + o]) for o in (0, 1))
+        maps = np.stack([maps_h[b] for maps_h in reversed(steps)])
+        brs[i] = BestResponse(Deviation(i, maps, label=f"br(agent={i})"), deviated - obedient,
+                              deviated, obedient)
+    return (V[:K] @ game.initial_dist)[inverse], brs, np.concatenate([adv[:K][inverse], adv[K::2]])
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +221,7 @@ def value_functions(game: MarkovGame, policy, agent: int):
     """
     Q = np.empty((game.horizon, game.n_states, game.n_joint_actions))
     V = np.empty(Q.shape[:2])
-    for h, Q_h, V_h in _backward(game, _policy_array(game, policy)[None], [agent]):
+    for h, Q_h, V_h, _ in _backward(game, _policy_array(game, policy)[None], [agent]):
         Q[h], V[h] = Q_h[0], V_h[0]
     return Q, V
 
@@ -188,23 +247,6 @@ def values(game: MarkovGame, policy) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _agent_axis_view(game: MarkovGame, arr_sa: np.ndarray, agent: int) -> np.ndarray:
-    """Reshape (S, A) so the agent's own action is axis 1: (S, n_i, A_rest)."""
-    S = arr_sa.shape[0]
-    shaped = arr_sa.reshape(S, *game.action_counts)
-    moved = np.moveaxis(shaped, 1 + agent, 1)
-    n = game.action_counts[agent]
-    return np.ascontiguousarray(moved).reshape(S, n, -1)
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    deviation: Deviation           # time-indexed argmax map per (h, s, recommended)
-    gain: float                    # J_i(deviated) - J_i(obedient), never negative
-    deviated_value: float
-    obedient_value: float
-
-
 def best_response_deviation(game: MarkovGame, sigma: MediatorPolicy, agent: int) -> BestResponse:
     """Optimal recommendation filter for one agent, by backward induction.
 
@@ -215,33 +257,7 @@ def best_response_deviation(game: MarkovGame, sigma: MediatorPolicy, agent: int)
     the reported gain is exactly 0.0 when obeying is optimal and never
     negative in floating point.
     """
-    H, S, A = game.horizon, game.n_states, game.n_joint_actions
-    n = game.action_counts[agent]
-    sig_r = _agent_axis_view(game, sigma.table, agent)    # (S, n, R)
-    r = game.rewards[agent]
-    own = np.arange(n)
-    T2 = game.transition.reshape(S * A, S)
-    W = np.zeros(S)   # value under optimal filtering from h on
-    V = np.zeros(S)   # obedient value, same recursion shape
-    maps = np.empty((H, S, n), dtype=np.int64)
-    for h in reversed(range(H)):
-        # two matvecs of one shape, so W == V gives bitwise-equal rows
-        G_dev = r + (T2 @ W).reshape(S, A)
-        G_obey = r + (T2 @ V).reshape(S, A)
-        # U[s, j, b]: mass of recommendation j times expected payoff of playing b
-        U_dev = np.einsum("sjx,sbx->sjb", sig_r, _agent_axis_view(game, G_dev, agent))
-        U_obey = np.einsum("sjx,sbx->sjb", sig_r, _agent_axis_view(game, G_obey, agent))
-        best = U_dev.max(axis=2)                          # (S, n)
-        diag = U_dev[:, own, own]
-        first_argmax = np.argmax(U_dev == best[:, :, None], axis=2)
-        maps[h] = np.where(diag == best, own[None, :], first_argmax)
-        W = best.sum(axis=1)
-        V = U_obey[:, own, own].sum(axis=1)
-    deviated = float(game.initial_dist @ W)
-    obedient = float(game.initial_dist @ V)
-    dev = Deviation(agent, maps, label=f"br(agent={agent})")
-    return BestResponse(deviation=dev, gain=deviated - obedient,
-                        deviated_value=deviated, obedient_value=obedient)
+    return _sweep(game, sigma.table, [], [agent])[1][agent]
 
 
 def _stationary_maps(game: MarkovGame, agent: int, cap: int) -> np.ndarray:
@@ -342,35 +358,36 @@ def regret_report(game: MarkovGame, sigma: MediatorPolicy, deviations: Deviation
 
 
 def _regret_report(game: MarkovGame, sigma: MediatorPolicy, deviations: DeviationClass,
-                   complete_mode: str = "dp"):
-    """regret_report, the obedient J_i(sigma) of every agent and the best
-    responses found, by agent.  Obedience and every explicit deviation are
-    one backward DP, so an identity deviation's gain is exactly 0.0."""
+                   complete_mode: str = "dp", layered: bool | None = None):
+    """regret_report, the obedient J_i(sigma) of every agent and u of sigma
+    (max |Q - V| over the explicit deviations and the COMPLETE agents'
+    identities and best responses).  Obedience, every explicit deviation and
+    the best-response DPs are one backward sweep, so an identity
+    deviation's gain is exactly 0.0.  ``layered`` is is_time_layered(game)
+    when the caller has it."""
     if deviations.num_agents != game.num_agents:
         raise ValueError("deviation class does not match the game's agent count")
     if complete_mode not in ("dp", "enumerate"):
         raise ValueError(f"unknown complete_mode {complete_mode!r}")
     m = game.num_agents
-    explicit = [dev for i in range(m) if not deviations.is_complete(i)
-                for dev in deviations.explicit_for(i)]
+    complete = [i for i in range(m) if deviations.is_complete(i)]
+    explicit = [dev for i in range(m) if i not in complete for dev in deviations.explicit_for(i)]
     devs = [Deviation.identity(game, i) for i in range(m)] + explicit
-    J = _values(game, _push(_push_index(game, devs), sigma.table), [d.agent for d in devs])
+    J, brs, adv = _sweep(game, sigma.table, devs, complete if complete_mode == "dp" else [])
     deviated = iter(J[m:])
-    gains, brs = [], {}
+    gains = []
     for i in range(m):
-        if deviations.is_complete(i):
-            if complete_mode == "dp":
-                br = best_response_deviation(game, sigma, i)
-            else:
-                br = enumerate_stationary_best_response(game, sigma, i)
-            brs[i] = br.deviation
+        if i in complete:
+            br = brs[i] if complete_mode == "dp" else enumerate_stationary_best_response(game, sigma, i)
             gains.append(DeviationGain(i, br.deviation.label, br.gain))
         else:
             for k, dev in enumerate(deviations.explicit_for(i)):
                 gains.append(DeviationGain(i, dev.label or f"dev{k}", float(next(deviated) - J[i])))
     best = max(gains, key=lambda g: g.gain)      # the first of equal maxima
-    exact = complete_mode == "enumerate" or not brs or is_time_layered(game)
-    return RegretReport(regret=best.gain, gains=tuple(gains), best=best, exact=exact), J[:m], brs
+    exact = complete_mode == "enumerate" or not complete or (
+        is_time_layered(game) if layered is None else layered)
+    u = float(np.concatenate([adv[complete], adv[m:]]).max(initial=0.0))
+    return RegretReport(regret=best.gain, gains=tuple(gains), best=best, exact=exact), J[:m], u
 
 
 def regret(game: MarkovGame, sigma: MediatorPolicy, deviations: DeviationClass,
@@ -408,13 +425,12 @@ def coverage_constant(game: MarkovGame, expert: MediatorPolicy) -> float:
     return float(occupancy_bundle(game, expert).avg_state.min())
 
 
-def _u_candidates(game: MarkovGame, expert: MediatorPolicy, deviations: DeviationClass,
-                  brs=None, cap: int | None = None) -> list[Deviation]:
-    """Deviations the u constants maximize over: an explicit class as listed;
-    COMPLETE as every stationary map up to ``cap`` when given, else the identity
-    plus the per-step best response, taken from ``brs`` (agent ->
-    deviation) when a regret report already found it."""
-    out = []
+def _u_candidates(game: MarkovGame, deviations: DeviationClass, cap: int | None = None):
+    """Deviations the u constants maximize over, and the agents whose per-step
+    best response joins them: an explicit class as listed; COMPLETE as every
+    stationary map up to ``cap`` when given, else the identity plus the best
+    response."""
+    out, br_agents = [], []
     for i in range(game.num_agents):
         if not deviations.is_complete(i):
             if not deviations.explicit_for(i):
@@ -423,20 +439,9 @@ def _u_candidates(game: MarkovGame, expert: MediatorPolicy, deviations: Deviatio
         elif cap is not None:
             out += [Deviation(i, table) for table in _stationary_maps(game, i, cap)]
         else:
-            br = brs[i] if brs else best_response_deviation(game, expert, i).deviation
-            out += [Deviation.identity(game, i), br]
-    return out
-
-
-def _max_abs_advantage(game: MarkovGame, expert: MediatorPolicy, devs) -> float:
-    """max |Q_h(s,a) - V_h(s)| of each deviation's agent under deviated expert
-    play; stationary deviations get their own DP so their tables stay (K, S, A)."""
-    worst = 0.0
-    for group in ([d for d in devs if not d.time_indexed], [d for d in devs if d.time_indexed]):
-        tables = _push(_push_index(game, group), expert.table)
-        for _, Q, V in _backward(game, tables, [d.agent for d in group]):
-            worst = max(worst, float(np.abs(Q - V[:, :, None]).max(initial=0.0)))
-    return worst
+            out.append(Deviation.identity(game, i))
+            br_agents.append(i)
+    return out, br_agents
 
 
 def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
@@ -453,8 +458,12 @@ def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
     best-response deviation; with ``exact_enumeration`` every stationary
     map is tried instead (small games only).
     """
-    return _max_abs_advantage(game, expert, _u_candidates(
-        game, expert, deviations, cap=cap if exact_enumeration else None))
+    devs, br_agents = _u_candidates(game, deviations, cap if exact_enumeration else None)
+    # stationary deviations get their own DP so their tables stay (K, S, A)
+    stationary = [d for d in devs if not d.time_indexed]
+    timed = [d for d in devs if d.time_indexed]
+    return max(float(_sweep(game, expert.table, group, agents)[2].max(initial=0.0))
+               for group, agents in ((stationary, br_agents), (timed, ())) if group)
 
 
 def moment_recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
@@ -473,7 +482,8 @@ def moment_recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
     S, A, T = game.n_states, game.n_joint_actions, game.transition
     block = max(1, S // A)         # a block's coefficients fit in one buffer
     u = 0.0
-    for dev in _u_candidates(game, expert, deviations):
+    devs, br_agents = _u_candidates(game, deviations)
+    for dev in devs + [br.deviation for br in _sweep(game, expert.table, [], br_agents)[1].values()]:
         tabs = induced_tables(game, expert, dev)
         visit = np.zeros((S, S * A))   # visit[s] = expected future (S, A) visitation from s
         for h in reversed(range(game.horizon)):
@@ -559,9 +569,16 @@ class EvalReport:
 
 def evaluate_pair(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPolicy,
                   deviations: DeviationClass) -> EvalReport:
-    rep_e, ve, brs = _regret_report(game, expert, deviations)
-    rep_l, vl, _ = _regret_report(game, learner, deviations)
-    occ_e = occupancy_bundle(game, expert)
+    """One backward sweep per policy (values, regret, best responses and, for
+    the expert, u) and one forward DP of both policies (beta and the moment
+    error)."""
+    _u_candidates(game, deviations)      # u needs a deviation for every explicit agent
+    layered = deviations.all_explicit() or is_time_layered(game)
+    rep_e, ve, u = _regret_report(game, expert, deviations, layered=layered)
+    rep_l, vl, _ = _regret_report(game, learner, deviations, layered=layered)
+    tables = np.stack([expert.table, learner.table])
+    d = _forward(game, tables)                                # (2, H, S)
+    rho = (d[:, :, :, None] * tables[:, None]).mean(axis=1)   # averaged occupancies
     return EvalReport(
         values_expert=tuple(float(x) for x in ve),
         values_learner=tuple(float(x) for x in vl),
@@ -569,8 +586,8 @@ def evaluate_pair(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPol
         regret_learner=rep_l,
         value_gap=float(np.max(ve - vl)),
         regret_gap=rep_l.regret - rep_e.regret,
-        beta=float(occ_e.avg_state.min()),
-        u=_max_abs_advantage(game, expert, _u_candidates(game, expert, deviations, brs)),
-        moment_error=float(np.abs(occ_e.avg_joint - occupancy_bundle(game, learner).avg_joint).sum()),
+        beta=float(d[0].mean(axis=0).min()),
+        u=u,
+        moment_error=float(np.abs(rho[0] - rho[1]).sum()),
         exact=rep_e.exact and rep_l.exact,
     )

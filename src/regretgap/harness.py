@@ -54,14 +54,14 @@ from .learners import ExpertOracle, TrainConfig, blades_train, j_bc, j_irl, mali
 from .losses import (CompositeMaxLoss, OCOConfig, WeightedTVLoss, blades_loss, malice_loss,
                      oco_run, weighted_tv_loss)
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 EQ_TOL = 1e-9        # closed-form equalities
 BOUND_SLACK = 1e-6   # slack added to inequality bounds
 
 CSV_COLUMNS = [
     "schema_version", "suite", "fixture", "algo", "H", "m", "beta", "u", "eps",
     "N", "seed", "value_gap", "regret_gap", "bound", "expected", "measured",
-    "pass", "runtime_ms", "error",
+    "pass", "runtime_ms", "error", "exact",
 ]
 
 
@@ -85,6 +85,7 @@ class ReportRow:
     passed: bool | None = False    # None: no closed form to check against
     runtime_ms: float = 0.0
     error: str = ""
+    exact: bool | None = None      # RegretReport.exact; None: no regret report
     schema_version: str = SCHEMA_VERSION
 
     def to_csv_dict(self) -> dict:

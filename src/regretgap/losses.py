@@ -101,6 +101,14 @@ def weighted_tv_loss(target, policy, weights: np.ndarray, atol: float = 1e-9) ->
     return float(w @ tv_rows(_table(target), _table(policy)))
 
 
+def _labels(labels, count: int) -> list:
+    """One label per deviated distribution, ``dev{k}`` by default."""
+    labels = [f"dev{k}" for k in range(count)] if labels is None else list(labels)
+    if len(labels) != count:
+        raise ValueError(f"{len(labels)} labels for {count} deviated distributions")
+    return labels
+
+
 def malice_components(expert, d_expert: np.ndarray, deviated_dists: Sequence[np.ndarray],
                       labels: Sequence[str] | None = None) -> CompositeMaxLoss:
     """Importance-weighted imitation loss, one component per deviation.
@@ -112,7 +120,7 @@ def malice_components(expert, d_expert: np.ndarray, deviated_dists: Sequence[np.
     """
     t = _table(expert)
     dists = np.asarray(deviated_dists, dtype=np.float64).reshape(-1, np.size(d_expert))
-    labels = list(labels) if labels is not None else [f"dev{k}" for k in range(len(dists))]
+    labels = _labels(labels, len(dists))
     bad = (dists > SUPPORT_TOL) & (np.asarray(d_expert, dtype=np.float64) <= SUPPORT_TOL)
     if bad.any():
         k = int(bad.any(axis=1).argmax())
@@ -139,7 +147,7 @@ def blades_components(oracle, deviated_dists: Sequence[np.ndarray],
     left uniform.
     """
     dists = [np.asarray(d, dtype=np.float64) for d in deviated_dists]
-    labels = list(labels) if labels is not None else [f"dev{k}" for k in range(len(dists))]
+    labels = _labels(labels, len(dists))
     support = np.zeros(dists[0].shape[0], dtype=bool)
     for d in dists:
         support |= d > SUPPORT_TOL

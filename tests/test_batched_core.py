@@ -5,6 +5,8 @@ the policy through the map, then a forward or backward DP with einsum
 contractions, exactly as the library did before every evaluator and
 learner called one batched forward and one batched backward DP.  Numbers
 must agree to 1e-12; labels, ties and exact zeros must agree exactly.
+The best response keeps its own reference, the two-matvec DP it ran before
+it became two rows of the batched backward DP; its maps must agree exactly.
 
 The learner rounds have references of their own: one TV row per loss
 component, and the j_irl loop that rebuilt the expert occupancy and two
@@ -39,7 +41,8 @@ from regretgap import (
     values,
 )
 from regretgap import evaluate, learners
-from regretgap.fixtures import alice_lb_game, coverage_lb_game, fig1_game, random_mg
+from regretgap.fixtures import (alice_lb_game, coverage_lb_game, fig1_game, random_deviation_class,
+                                random_mg)
 from regretgap.games import _push, _push_index, _pushforward, policy_tables
 from regretgap.harness import property_suite_games
 
@@ -85,14 +88,43 @@ def ref_value(game, policy, agent):
     return float(game.initial_dist @ ref_value_functions(game, policy, agent)[1][0])
 
 
+def ref_best_response(game, sigma, agent):
+    """The best-response DP with two matvecs per step: (maps, gain,
+    deviated value, obedient value)."""
+    H, S, A = game.horizon, game.n_states, game.n_joint_actions
+    n = game.action_counts[agent]
+
+    def own_axis(arr_sa):   # (S, A) -> (S, n_i, A_rest), own action on axis 1
+        moved = np.moveaxis(arr_sa.reshape(S, *game.action_counts), 1 + agent, 1)
+        return np.ascontiguousarray(moved).reshape(S, n, -1)
+
+    sig_r = own_axis(sigma.table)
+    r = game.rewards[agent]
+    own = np.arange(n)
+    T2 = game.transition.reshape(S * A, S)
+    W, V = np.zeros(S), np.zeros(S)
+    maps = np.empty((H, S, n), dtype=np.int64)
+    for h in reversed(range(H)):
+        G_dev = r + (T2 @ W).reshape(S, A)
+        G_obey = r + (T2 @ V).reshape(S, A)
+        U_dev = np.einsum("sjx,sbx->sjb", sig_r, own_axis(G_dev))
+        U_obey = np.einsum("sjx,sbx->sjb", sig_r, own_axis(G_obey))
+        best = U_dev.max(axis=2)
+        first_argmax = np.argmax(U_dev == best[:, :, None], axis=2)
+        maps[h] = np.where(U_dev[:, own, own] == best, own[None, :], first_argmax)
+        W = best.sum(axis=1)
+        V = U_obey[:, own, own].sum(axis=1)
+    deviated, obedient = float(game.initial_dist @ W), float(game.initial_dist @ V)
+    return maps, deviated - obedient, deviated, obedient
+
+
 def ref_gains(game, sigma, deviations):
     """(agent, label, gain) per column and the best one, the loop the library ran."""
     base = [ref_value(game, sigma, i) for i in range(game.num_agents)]
     gains = []
     for i in range(game.num_agents):
         if deviations.is_complete(i):
-            br = best_response_deviation(game, sigma, i)
-            gains.append((i, br.deviation.label, br.gain))
+            gains.append((i, f"br(agent={i})", ref_best_response(game, sigma, i)[1]))
         else:
             for k, dev in enumerate(deviations.explicit_for(i)):
                 gain = ref_value(game, ref_induced(game, sigma, dev), i) - base[i]
@@ -108,7 +140,7 @@ def ref_candidates(game, expert, deviations):
     out = []
     for i in range(game.num_agents):
         if deviations.is_complete(i):
-            out += [Deviation.identity(game, i), best_response_deviation(game, expert, i).deviation]
+            out += [Deviation.identity(game, i), Deviation(i, ref_best_response(game, expert, i)[0])]
         else:
             out += list(deviations.explicit_for(i))
     return out
@@ -253,10 +285,25 @@ def test_batched_core_matches_per_deviation_reference(seed):
     np.testing.assert_allclose(values(game, sigma),
                                [ref_value(game, sigma, i) for i in range(game.num_agents)],
                                rtol=0, atol=TOL)
+    for policy in (expert, sigma):
+        for i in range(game.num_agents):
+            br = best_response_deviation(game, policy, i)
+            maps, gain, deviated, obedient = ref_best_response(game, policy, i)
+            np.testing.assert_array_equal(br.deviation.table, maps)
+            np.testing.assert_allclose([br.gain, br.deviated_value, br.obedient_value],
+                                       [gain, deviated, obedient], rtol=0, atol=TOL)
+            assert br.gain >= 0.0
+            if gain == 0.0:
+                assert br.gain == 0.0
     report = evaluate_pair(game, expert, sigma, deviations)
     np.testing.assert_allclose(report.values_expert, values(game, expert), rtol=0, atol=TOL)
     assert report.u == pytest.approx(ref_u(game, expert, deviations), abs=TOL)
     assert report.regret_learner.best == regret_report(game, sigma, deviations).best
+    d_e, d_l = ref_states(game, expert), ref_states(game, sigma)
+    rho_e = (d_e[:, :, None] * expert.table).mean(axis=0)
+    rho_l = (d_l[:, :, None] * sigma.table).mean(axis=0)
+    assert report.beta == pytest.approx(d_e.mean(axis=0).min(), abs=TOL)
+    assert report.moment_error == pytest.approx(np.abs(rho_e - rho_l).sum(), abs=TOL)
     # the deviated densities of every explicit column at once
     devs = [d for i in range(game.num_agents) if not deviations.is_complete(i)
             for d in deviations.explicit_for(i)]
@@ -268,6 +315,32 @@ def test_batched_core_matches_per_deviation_reference(seed):
                                           ref_induced(game, sigma, dev))
             np.testing.assert_allclose(dists[k], ref_states(game, ref_induced(game, sigma, dev)),
                                        rtol=0, atol=TOL)
+
+
+def test_evaluate_pair_runs_one_backward_sweep_per_policy(monkeypatch):
+    """Two backward sweeps (expert, learner) and one forward DP of both
+    policies; no separate best-response DP or occupancy bundle."""
+    fx = random_mg(7, n_states=5, horizon=3, action_counts=(2, 3))
+    phi = DeviationClass((COMPLETE, random_deviation_class(fx.game, per_agent=3, seed=1).per_agent[1]))
+    calls = {"_backward": 0, "_forward": 0}
+
+    def counted(name):
+        inner = getattr(evaluate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluate_pair must not call this")
+
+    for name in calls:
+        monkeypatch.setattr(evaluate, name, counted(name))
+    monkeypatch.setattr(evaluate, "best_response_deviation", forbidden)
+    monkeypatch.setattr(evaluate, "occupancy_bundle", forbidden)
+    evaluate_pair(fx.game, fx.expert, fx.learner, phi)
+    assert calls == {"_backward": 2, "_forward": 1}
 
 
 def test_moment_constant_matches_reference_on_suite_and_fixtures():
@@ -362,3 +435,12 @@ def test_equal_columns_share_one_dp_column(n_states, counts, copies):
     assert gains[:copies] == [0.0] * copies
     assert len(set(gains[copies:])) == 1
     assert rep.best.label == ("id0" if gains[-1] <= 0.0 else "rnd0")
+
+
+def test_obeying_best_response_shares_one_dp_row():
+    # a shape where one BLAS matmul rounds equal W and V rows apart; an agent
+    # with one action can only obey, so its gain must be exactly 0.0
+    fx = random_mg(371, n_states=37, horizon=3, action_counts=(1, 2))
+    rnd = Deviation(1, np.random.default_rng(1).integers(0, 2, size=(37, 2)))
+    phi = DeviationClass((COMPLETE, (Deviation.identity(fx.game, 1), rnd)))
+    assert regret_report(fx.game, fx.learner, phi).gains[0].gain == 0.0

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from regretgap import io
+from regretgap import io, is_time_layered
 from regretgap.cli import EXIT_ASSUMPTION, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from regretgap.harness import CSV_COLUMNS, run_sweep
 
@@ -86,6 +86,18 @@ class TestEval:
         rows = read_csv(csv_path)
         assert list(rows[0]) == CSV_COLUMNS
         assert float(rows[0]["regret_gap"]) == pytest.approx(4.0, abs=1e-9)
+
+    def test_exact_column_reads_false_off_time_layered_games(self, tmp_path, capsys):
+        main(["gen", "--name", "random", "--states", "4", "--horizon", "3", "--out", str(tmp_path)])
+        assert not is_time_layered(io.load_game(tmp_path / "game.json"))
+        csv_path = tmp_path / "rep.csv"
+        rc = main(["eval", "--game", str(tmp_path / "game.json"),
+                   "--expert", str(tmp_path / "expert.json"),
+                   "--learner", str(tmp_path / "learner.json"),
+                   "--deviations", "complete", "--out-csv", str(csv_path)])
+        assert rc == EXIT_OK
+        row = read_csv(csv_path)[0]
+        assert (row["schema_version"], row["exact"]) == ("3", "False")
 
     def test_expert_vs_itself_zero_gaps(self, fig1_files, capsys):
         rc = main(["eval", "--game", str(fig1_files / "game.json"),

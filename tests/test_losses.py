@@ -22,7 +22,8 @@ from regretgap import (
 )
 from regretgap.fixtures import alice_lb_game, coverage_lb_game, random_mg
 from regretgap.games import induced_tables
-from regretgap.losses import malice_components, project_rows_to_simplex, tv_rows
+from regretgap.losses import (blades_components, malice_components, project_rows_to_simplex,
+                              tv_rows)
 
 
 def rand_simplex(rng, shape):
@@ -108,6 +109,12 @@ class TestMaliceLoss:
         with pytest.raises(CoverageError, match=r"'first' puts mass .* \(states \[1, 3\]\)"):
             malice_components(expert, d_e, [ok, first, second], labels=["ok", "first", "second"])
 
+    def test_label_count_mismatch_is_value_error(self):
+        d = np.array([0.5, 0.5])
+        expert = MediatorPolicy(np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="1 labels for 2 deviated distributions"):
+            malice_components(expert, d, [d, d], labels=["a"])
+
     def test_value_in_unit_interval(self):
         fx, d_e, dists = self._setup(seed=8)
         rng = np.random.default_rng(0)
@@ -136,6 +143,12 @@ class TestMaliceLoss:
 
 
 class TestBladesLoss:
+    def test_label_count_mismatch_is_value_error(self):
+        d = np.array([0.5, 0.5])
+        oracle = ExpertOracle(MediatorPolicy(np.full((2, 2), 0.5)))
+        with pytest.raises(ValueError, match="1 labels for 2 deviated distributions"):
+            blades_components(oracle, [d, d], labels=["a"])
+
     def test_matches_malice_under_full_support(self):
         fx = random_mg(10, n_states=3, horizon=3, full_coverage_expert=True)
         from regretgap.fixtures import random_deviation_class
