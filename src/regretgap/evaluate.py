@@ -67,63 +67,66 @@ def _distinct(*stacks):
 
 
 def _forward(game: MarkovGame, tables: np.ndarray) -> np.ndarray:
-    """Forward DP d_{h+1}(s') = sum_{s,a} d_h(s) pi_h(a|s) T(s'|s,a), d_1 =
-    rho0, for K policies (K, S, A) or (K, H, S, A) at once, one matmul per
-    step: the per-step state distributions (K, H, S)."""
+    """Forward DP d_{h+1} = d_h P_h, d_1 = rho0, for K policies (K, S, A) or
+    (K, H, S, A) at once: the state distributions (K, H, S).  The state kernel
+    P_h(s, s') = sum_a pi_h(a|s) T(s'|s,a), K S^2 floats (20 MB for K = 64 at
+    200 states), is formed once for a stationary stack, one product per
+    (column, state) so a column's d does not depend on the stack, and every
+    step for a time-indexed one, one matmul (S, K, A) @ (S, A, S)."""
     first, inverse = _distinct(tables)
     tables = tables[first]
-    K, H, S = len(tables), game.horizon, game.n_states
-    T2 = game.transition.reshape(-1, S)
-    d = np.empty((K, H, S))
-    d[:, 0] = game.initial_dist
+    H, S = game.horizon, game.n_states
+    d = np.empty((len(tables), H, 1, S))
+    d[:, 0, 0] = game.initial_dist
     for h in range(H - 1):
-        pi = tables if tables.ndim == 3 else tables[:, h]
-        d[:, h + 1] = (d[:, h, :, None] * pi).reshape(K, -1) @ T2
-    return d[inverse]
+        if tables.ndim == 4:
+            kernel = np.matmul(tables[:, h].transpose(1, 0, 2), game.transition).transpose(1, 0, 2)
+        elif h == 0:
+            kernel = (tables[:, :, None] @ game.transition)[:, :, 0]          # (K, S, S)
+        d[:, h + 1] = d[:, h] @ kernel
+    return d[inverse, :, 0]
 
 
-def _backward(game: MarkovGame, tables: np.ndarray, agents, sigma=None, br_agents=()):
+def _backward(game: MarkovGame, tables: np.ndarray, agents, sigmas=(), br_agents=()):
     """Backward DP Q_h(s,a) = r_i(s,a) + sum_{s'} T(s'|s,a) V_{h+1}(s'),
     V_h(s) = sum_a pi_h(a|s) Q_h(s,a), for K (policy, agent) columns at once;
-    policies are (K, S, A) or (K, H, S, A).  Each agent in ``br_agents`` adds
-    two rows against the (S, A) policy ``sigma``: its best-response
-    recursion (Q_h = r + T W_{h+1}, V_h = W_h, the value of filtering the
-    recommendations optimally) and its obedient value by the same
-    arithmetic.  One matmul per step advances every row.  Yields (h, Q_h,
-    V_h, maps_h), maps_h holding each best response's (S, n_i) argmax map;
-    the next step overwrites Q_h."""
+    policies are (K, S, A) or (K, H, S, A).  Agent b of the nb ``br_agents``
+    adds rows against each policy p of the (P, S, A) stack ``sigmas``: its
+    best-response recursion W (Q_h = r + T W_{h+1}, V_h = W_h), row K + p nb
+    + b, and its obedient value by the same arithmetic, row K + (P + p) nb + b.
+    One matmul per step advances every row, one einsum per agent serves all
+    policies.  Yields (h, Q_h, V_h, maps_h), maps_h holding each agent's (P,
+    S, n_i) argmax maps; the next step overwrites Q_h."""
     S, A = game.n_states, game.n_joint_actions
     T2t = game.transition.reshape(S * A, S).T
-    K = len(tables)
-    rows = np.concatenate([np.asarray(agents, dtype=np.int64), np.repeat(br_agents, 2).astype(np.int64)])
+    K, P, nb = len(tables), len(sigmas), len(br_agents)
+    rows = np.concatenate([agents, np.tile(br_agents, 2 * P)]).astype(np.int64)
     rewards = game.rewards[rows if len(set(rows.tolist())) > 1 else rows[:1]]
     # gather[j, x]: the joint action of own action j and the others' actions x
     gathers = [np.moveaxis(np.arange(A).reshape(game.action_counts), i, 0).reshape(
         game.action_counts[i], -1) for i in br_agents]
-    sig = [sigma[:, g] for g in gathers]                    # (S, n, R) per agent
+    sig = [sigmas[:, :, g].reshape(P * S, *g.shape) for g in gathers]   # (P*S, n, R) per agent
     Q, V = np.empty((len(rows), S, A)), np.zeros((len(rows), S))
     for h in reversed(range(game.horizon)):
         pi = tables if tables.ndim == 3 else tables[:, h]
         # W == V bitwise shares one row, so G_dev is G_obey and a gain stays 0.0
-        shared = [np.array_equal(V[k], V[k + 1]) for k in range(K, len(rows), 2)]
+        shared = [np.equal(*V[K + b::nb].reshape(2, P, S)).all(axis=1) for b in range(nb)]
         np.matmul(V, T2t, out=Q.reshape(-1, S * A))
         Q += rewards
         V = np.empty_like(V)
         V[:K] = np.einsum("ksa,ksa->ks", pi, Q[:K])
         maps_h = []
-        for k, g, sig_r, same in zip(range(K, len(rows), 2), gathers, sig, shared):
-            own = np.arange(len(g))
-            # U[s, j, b]: mass of recommendation j times expected payoff of playing b
-            U_dev = np.einsum("sjx,sbx->sjb", sig_r, Q[k][:, g])
-            if same:
-                Q[k + 1] = Q[k]
-            U_obey = U_dev if same else np.einsum("sjx,sbx->sjb", sig_r, Q[k + 1][:, g])
-            best = U_dev.max(axis=2)                          # (S, n)
-            diag = U_dev[:, own, own]
-            first_argmax = np.argmax(U_dev == best[:, :, None], axis=2)
-            maps_h.append(np.where(diag == best, own[None, :], first_argmax))
-            V[k] = best.sum(axis=1)
-            V[k + 1] = U_obey[:, own, own].sum(axis=1)
+        for b, (g, sig_r, same) in enumerate(zip(gathers, sig, shared)):
+            n, own = len(g), np.arange(len(g))
+            G = Q[K + b::nb][:, :, g].reshape(2, P * S, n, -1)      # the P W rows, then the P V rows
+            # U[p, s, j, b]: mass of recommendation j times expected payoff of playing b
+            U_dev = np.einsum("sjx,sbx->sjb", sig_r, G[0]).reshape(P, S, n, n)
+            U_obey = U_dev if same.all() else np.where(same[:, None, None, None], U_dev, np.einsum(
+                "sjx,sbx->sjb", sig_r, G[1]).reshape(P, S, n, n))
+            best = U_dev.max(axis=3)                          # (P, S, n)
+            first_argmax = np.argmax(U_dev == best[..., None], axis=3)
+            maps_h.append(np.where(U_dev[..., own, own] == best, own, first_argmax))
+            V[K + b::nb] = np.concatenate([best.sum(axis=2), U_obey[..., own, own].sum(axis=2)])
         yield h, Q, V, maps_h
 
 
@@ -133,7 +136,12 @@ def _values(game: MarkovGame, tables: np.ndarray, agents) -> np.ndarray:
     first, inverse = _distinct(tables, agents)
     for _, _, V, _ in _backward(game, tables[first], agents[first]):
         pass
-    return (V @ game.initial_dist)[inverse]
+    return np.einsum("ks,s->k", V, game.initial_dist)[inverse]
+
+
+def _stack(game: MarkovGame, *policies) -> np.ndarray:
+    """The policies, each shape-checked, as one stack."""
+    return np.stack([_policy_array(game, p) for p in policies])
 
 
 @dataclass(frozen=True)
@@ -144,29 +152,36 @@ class BestResponse:
     obedient_value: float
 
 
-def _sweep(game: MarkovGame, sigma: np.ndarray, devs, br_agents=()):
-    """One backward DP against the (S, A) policy sigma: J of each deviation's
-    agent under sigma pushed through it, the best response of each agent in
-    ``br_agents``, and max |Q_h(s,a) - V_h(s)| of each deviated play, the
-    deviations first, then the best responses."""
-    S, A = game.n_states, game.n_joint_actions
-    agents = np.array([dev.agent for dev in devs], dtype=np.int64)
-    tables = _push(_push_index(game, devs), sigma)
+def _sweep(game: MarkovGame, sigmas: np.ndarray, devs, br_agents=(), n_u=None):
+    """One backward DP against every (S, A) policy of the (P, S, A) stack
+    sigmas: J (P, K) of each deviation's agent under each policy pushed
+    through it, each policy's {agent: BestResponse} for ``br_agents``, and,
+    when ``n_u`` is given, u of sigmas[0]: max |Q_h(s,a) - V_h(s)| over its
+    first n_u deviated plays and its best responses (else None).  Bitwise-
+    equal policies and columns share their rows."""
+    pf, pinv = _distinct(sigmas)
+    sigmas = sigmas[pf]                # sigmas[0] stays the first policy
+    P, K, nb = len(sigmas), len(devs), len(br_agents)
+    index = _push_index(game, devs)
+    tables = np.concatenate([_push(index, sigma) for sigma in sigmas])
+    agents = np.tile(np.array([dev.agent for dev in devs], dtype=np.int64), P)
     first, inverse = _distinct(tables, agents)
     tables, agents = tables[first], agents[first]
-    K = len(tables)
-    adv, steps = np.zeros(K + 2 * len(br_agents)), []
-    for _, Q, V, maps_h in _backward(game, tables, agents, sigma, br_agents):
-        gap = Q - V[:, :, None]
-        np.maximum(adv, np.abs(gap, out=gap).reshape(len(adv), S * A).max(axis=1), out=adv)
+    # the u rows: sigmas[0]'s first n_u columns are rows [0, n), its W rows [Kd, Kd + nb)
+    Kd, n = len(tables), len(np.unique(np.arange(P * K)[inverse][:n_u or 0]))
+    u_rows = () if n_u is None else (slice(0, n), slice(Kd, Kd + nb))
+    u, steps = 0.0, []
+    for _, Q, V, maps_h in _backward(game, tables, agents, sigmas, br_agents):
+        for R in u_rows:
+            gap = Q[R] - V[R, :, None]
+            u = max(u, float(np.abs(gap, out=gap).max(initial=0.0)))
         steps.append(maps_h)
-    brs = {}
-    for b, i in enumerate(br_agents):
-        deviated, obedient = (float(game.initial_dist @ V[K + 2 * b + o]) for o in (0, 1))
-        maps = np.stack([maps_h[b] for maps_h in reversed(steps)])
-        brs[i] = BestResponse(Deviation(i, maps, label=f"br(agent={i})"), deviated - obedient,
-                              deviated, obedient)
-    return (V[:K] @ game.initial_dist)[inverse], brs, np.concatenate([adv[:K][inverse], adv[K::2]])
+    J = np.einsum("ks,s->k", V, game.initial_dist)   # row by row, independent of the rows around
+    W, O = J[Kd:].reshape(2, P, nb).tolist()          # so a shared W and V row gains exactly 0.0
+    maps = [np.stack([m[b] for m in reversed(steps)], axis=1) for b in range(nb)]   # (P, H, S, n) each
+    brs = [{i: BestResponse(Deviation(i, maps[b][p], label=f"br(agent={i})"), W[p][b] - O[p][b], W[p][b],
+                            O[p][b]) for b, i in enumerate(br_agents)} for p in np.arange(P)[pinv]]
+    return J[:Kd][inverse].reshape(P, K)[pinv], brs, None if n_u is None else u
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +272,7 @@ def best_response_deviation(game: MarkovGame, sigma: MediatorPolicy, agent: int)
     the reported gain is exactly 0.0 when obeying is optimal and never
     negative in floating point.
     """
-    return _sweep(game, sigma.table, [], [agent])[1][agent]
+    return _sweep(game, sigma.table[None], [], [agent])[1][0][agent]
 
 
 def _stationary_maps(game: MarkovGame, agent: int, cap: int) -> np.ndarray:
@@ -280,12 +295,10 @@ def enumerate_stationary_best_response(game: MarkovGame, sigma: MediatorPolicy, 
     state is reachable at exactly one step this matches the DP; elsewhere
     it can only be lower.
     """
-    n = game.action_counts[agent]
     tables = _stationary_maps(game, agent, cap)           # candidate maps
     dev_tables = _pushforward(game, sigma.table, agent, tables)
     J = _values(game, dev_tables, np.full(len(tables), agent))
-    identity_code = np.arange(n)
-    k_id = int(np.nonzero((tables == identity_code[None, None, :]).all(axis=(1, 2)))[0][0])
+    k_id = int(np.nonzero((tables == np.arange(game.action_counts[agent])).all(axis=(1, 2)))[0][0])
     k_best = int(np.argmax(J))
     best_dev = Deviation(agent, tables[k_best], label=f"bf(agent={agent})")
     return BestResponse(deviation=best_dev, gain=float(J[k_best] - J[k_id]),
@@ -354,17 +367,15 @@ def regret_report(game: MarkovGame, sigma: MediatorPolicy, deviations: Deviation
     'enumerate' brute-forces every stationary map (tiny games only) and is
     exact for the stationary semantics everywhere.
     """
-    return _regret_report(game, sigma, deviations, complete_mode)[0]
+    return _regret_report(game, sigma.table[None], deviations, complete_mode)[0][0]
 
 
-def _regret_report(game: MarkovGame, sigma: MediatorPolicy, deviations: DeviationClass,
-                   complete_mode: str = "dp", layered: bool | None = None):
-    """regret_report, the obedient J_i(sigma) of every agent and u of sigma
-    (max |Q - V| over the explicit deviations and the COMPLETE agents'
-    identities and best responses).  Obedience, every explicit deviation and
-    the best-response DPs are one backward sweep, so an identity
-    deviation's gain is exactly 0.0.  ``layered`` is is_time_layered(game)
-    when the caller has it."""
+def _regret_report(game: MarkovGame, sigmas: np.ndarray, deviations: DeviationClass,
+                   complete_mode: str = "dp", layered: bool | None = None, u: bool = False):
+    """regret_report of each policy of the (P, S, A) stack sigmas, their
+    obedient J_i (P, m) and, when ``u``, u of sigmas[0] (else None), all from
+    one backward sweep, so an identity deviation's gain is exactly 0.0.
+    ``layered`` is is_time_layered(game) when the caller has it."""
     if deviations.num_agents != game.num_agents:
         raise ValueError("deviation class does not match the game's agent count")
     if complete_mode not in ("dp", "enumerate"):
@@ -372,22 +383,30 @@ def _regret_report(game: MarkovGame, sigma: MediatorPolicy, deviations: Deviatio
     m = game.num_agents
     complete = [i for i in range(m) if deviations.is_complete(i)]
     explicit = [dev for i in range(m) if i not in complete for dev in deviations.explicit_for(i)]
-    devs = [Deviation.identity(game, i) for i in range(m)] + explicit
-    J, brs, adv = _sweep(game, sigma.table, devs, complete if complete_mode == "dp" else [])
-    deviated = iter(J[m:])
-    gains = []
-    for i in range(m):
-        if i in complete:
-            br = brs[i] if complete_mode == "dp" else enumerate_stationary_best_response(game, sigma, i)
-            gains.append(DeviationGain(i, br.deviation.label, br.gain))
-        else:
-            for k, dev in enumerate(deviations.explicit_for(i)):
-                gains.append(DeviationGain(i, dev.label or f"dev{k}", float(next(deviated) - J[i])))
-    best = max(gains, key=lambda g: g.gain)      # the first of equal maxima
+    # the u candidates first: explicit deviations, then the COMPLETE agents' identities
+    ids = complete + [i for i in range(m) if i not in complete]
+    J, brs, u = _sweep(game, sigmas, explicit + [Deviation.identity(game, i) for i in ids],
+                       complete if complete_mode == "dp" else [],
+                       len(explicit) + len(complete) if u else None)
+    J_obey = J[:, len(explicit) + np.argsort(ids)]       # (P, m)
     exact = complete_mode == "enumerate" or not complete or (
         is_time_layered(game) if layered is None else layered)
-    u = float(np.concatenate([adv[complete], adv[m:]]).max(initial=0.0))
-    return RegretReport(regret=best.gain, gains=tuple(gains), best=best, exact=exact), J[:m], u
+    reports = []
+    for sigma, J_p, J_o, brs_p in zip(sigmas, J, J_obey, brs):
+        deviated = iter(J_p)
+        gains = []
+        for i in range(m):
+            if i in complete:
+                br = brs_p[i] if complete_mode == "dp" else \
+                    enumerate_stationary_best_response(game, MediatorPolicy(sigma), i)
+                gains.append(DeviationGain(i, br.deviation.label, br.gain))
+            else:
+                for k, dev in enumerate(deviations.explicit_for(i)):
+                    gain = float(next(deviated) - J_o[i])
+                    gains.append(DeviationGain(i, dev.label or f"dev{k}", gain))
+        best = max(gains, key=lambda g: g.gain)      # the first of equal maxima
+        reports.append(RegretReport(regret=best.gain, gains=tuple(gains), best=best, exact=exact))
+    return reports, J_obey, u
 
 
 def regret(game: MarkovGame, sigma: MediatorPolicy, deviations: DeviationClass,
@@ -398,13 +417,16 @@ def regret(game: MarkovGame, sigma: MediatorPolicy, deviations: DeviationClass,
 
 def value_gap(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPolicy) -> float:
     """max_i ( J_i(expert play) - J_i(learner play) ), all agents obedient."""
-    return float(np.max(values(game, expert) - values(game, learner)))
+    m = game.num_agents
+    J = _values(game, np.repeat(_stack(game, expert, learner), m, axis=0), np.tile(np.arange(m), 2))
+    return float(np.max(J[:m] - J[m:]))
 
 
 def regret_gap(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPolicy,
                deviations: DeviationClass) -> float:
     """Learner regret minus expert regret under the same deviation class."""
-    return regret(game, learner, deviations) - regret(game, expert, deviations)
+    rep_e, rep_l = _regret_report(game, _stack(game, expert, learner), deviations)[0]
+    return rep_l.regret - rep_e.regret
 
 
 def is_approx_ce(game: MarkovGame, sigma: MediatorPolicy, deviations: DeviationClass,
@@ -430,6 +452,8 @@ def _u_candidates(game: MarkovGame, deviations: DeviationClass, cap: int | None 
     best response joins them: an explicit class as listed; COMPLETE as every
     stationary map up to ``cap`` when given, else the identity plus the best
     response."""
+    if deviations.num_agents != game.num_agents:
+        raise ValueError("deviation class does not match the game's agent count")
     out, br_agents = [], []
     for i in range(game.num_agents):
         if not deviations.is_complete(i):
@@ -462,7 +486,7 @@ def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
     # stationary deviations get their own DP so their tables stay (K, S, A)
     stationary = [d for d in devs if not d.time_indexed]
     timed = [d for d in devs if d.time_indexed]
-    return max(float(_sweep(game, expert.table, group, agents)[2].max(initial=0.0))
+    return max(_sweep(game, expert.table[None], group, agents, len(group))[2]
                for group, agents in ((stationary, br_agents), (timed, ())) if group)
 
 
@@ -483,7 +507,8 @@ def moment_recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
     block = max(1, S // A)         # a block's coefficients fit in one buffer
     u = 0.0
     devs, br_agents = _u_candidates(game, deviations)
-    for dev in devs + [br.deviation for br in _sweep(game, expert.table, [], br_agents)[1].values()]:
+    brs = _sweep(game, expert.table[None], [], br_agents)[1][0]
+    for dev in devs + [br.deviation for br in brs.values()]:
         tabs = induced_tables(game, expert, dev)
         visit = np.zeros((S, S * A))   # visit[s] = expected future (S, A) visitation from s
         for h in reversed(range(game.horizon)):
@@ -514,10 +539,16 @@ def moment_matching_error(game: MarkovGame, expert: MediatorPolicy, learner: Med
     unnormalized mode multiplies by H to express it on the scale of raw
     reward sums.
     """
-    rho_e = occupancy_bundle(game, expert).avg_joint
-    rho_l = occupancy_bundle(game, learner).avg_joint
-    l1 = float(np.abs(rho_e - rho_l).sum())
+    tables = _stack(game, expert, learner)
+    l1 = _moment_error(_forward(game, tables), tables)
     return l1 if normalized else game.horizon * l1
+
+
+def _moment_error(d: np.ndarray, tables: np.ndarray) -> float:
+    """L1 distance between the averaged occupancies of a two-policy stack,
+    from its (2, H, S) state distributions."""
+    rho = (d[..., None] * (tables if tables.ndim == 4 else tables[:, None])).mean(axis=1)
+    return float(np.abs(rho[0] - rho[1]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +600,14 @@ class EvalReport:
 
 def evaluate_pair(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPolicy,
                   deviations: DeviationClass) -> EvalReport:
-    """One backward sweep per policy (values, regret, best responses and, for
-    the expert, u) and one forward DP of both policies (beta and the moment
+    """One backward sweep of both policies (values, regret, best responses
+    and, for the expert, u) and one forward DP of both (beta and the moment
     error)."""
     _u_candidates(game, deviations)      # u needs a deviation for every explicit agent
+    tables = _stack(game, expert, learner)
     layered = deviations.all_explicit() or is_time_layered(game)
-    rep_e, ve, u = _regret_report(game, expert, deviations, layered=layered)
-    rep_l, vl, _ = _regret_report(game, learner, deviations, layered=layered)
-    tables = np.stack([expert.table, learner.table])
+    (rep_e, rep_l), (ve, vl), u = _regret_report(game, tables, deviations, layered=layered, u=True)
     d = _forward(game, tables)                                # (2, H, S)
-    rho = (d[:, :, :, None] * tables[:, None]).mean(axis=1)   # averaged occupancies
     return EvalReport(
         values_expert=tuple(float(x) for x in ve),
         values_learner=tuple(float(x) for x in vl),
@@ -588,6 +617,6 @@ def evaluate_pair(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPol
         regret_gap=rep_l.regret - rep_e.regret,
         beta=float(d[0].mean(axis=0).min()),
         u=u,
-        moment_error=float(np.abs(rho[0] - rho[1]).sum()),
+        moment_error=_moment_error(d, tables),
         exact=rep_e.exact and rep_l.exact,
     )

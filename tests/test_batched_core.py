@@ -35,9 +35,11 @@ from regretgap import (
     moment_recoverability_constant,
     occupancy_bundle,
     recoverability_constant,
+    regret_gap,
     regret_report,
     sample_demonstrations,
     value,
+    value_gap,
     values,
 )
 from regretgap import evaluate, learners
@@ -317,11 +319,9 @@ def test_batched_core_matches_per_deviation_reference(seed):
                                        rtol=0, atol=TOL)
 
 
-def test_evaluate_pair_runs_one_backward_sweep_per_policy(monkeypatch):
-    """Two backward sweeps (expert, learner) and one forward DP of both
-    policies; no separate best-response DP or occupancy bundle."""
-    fx = random_mg(7, n_states=5, horizon=3, action_counts=(2, 3))
-    phi = DeviationClass((COMPLETE, random_deviation_class(fx.game, per_agent=3, seed=1).per_agent[1]))
+def count_dp_calls(monkeypatch):
+    """Count the calls of evaluate._backward and evaluate._forward; the
+    separate best-response DP and occupancy bundle must not be called."""
     calls = {"_backward": 0, "_forward": 0}
 
     def counted(name):
@@ -333,14 +333,80 @@ def test_evaluate_pair_runs_one_backward_sweep_per_policy(monkeypatch):
         return wrapper
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("evaluate_pair must not call this")
+        raise AssertionError("the batched core must not call this")
 
     for name in calls:
         monkeypatch.setattr(evaluate, name, counted(name))
     monkeypatch.setattr(evaluate, "best_response_deviation", forbidden)
     monkeypatch.setattr(evaluate, "occupancy_bundle", forbidden)
+    return calls
+
+
+def test_evaluate_pair_runs_one_backward_sweep_per_policy(monkeypatch):
+    """One backward sweep of both policies (expert and learner) and one
+    forward DP of both; no separate best-response DP or occupancy bundle."""
+    fx = random_mg(7, n_states=5, horizon=3, action_counts=(2, 3))
+    phi = DeviationClass((COMPLETE, random_deviation_class(fx.game, per_agent=3, seed=1).per_agent[1]))
+    calls = count_dp_calls(monkeypatch)
     evaluate_pair(fx.game, fx.expert, fx.learner, phi)
-    assert calls == {"_backward": 2, "_forward": 1}
+    assert calls == {"_backward": 1, "_forward": 1}
+
+
+def test_regret_gap_and_moment_error_run_one_dp_each(monkeypatch):
+    fx = random_mg(7, n_states=5, horizon=3, action_counts=(2, 3))
+    phi = DeviationClass((COMPLETE, random_deviation_class(fx.game, per_agent=3, seed=1).per_agent[1]))
+    calls = count_dp_calls(monkeypatch)
+    regret_gap(fx.game, fx.expert, fx.learner, phi)
+    assert calls == {"_backward": 1, "_forward": 0}
+    moment_matching_error(fx.game, fx.expert, fx.learner)
+    assert calls == {"_backward": 1, "_forward": 1}
+
+
+# shapes where one BLAS matmul rounds equal rows apart: (n_states, action counts, game seed)
+ROUNDING_SHAPES = [(37, (1, 2), 371), (17, (3,), 1703), (33, (3,), 3303), (26, (2, 3), 2606)]
+
+
+@pytest.mark.parametrize("n_states,counts,seed", ROUNDING_SHAPES)
+@pytest.mark.parametrize("kind", ["complete", "mixed"])
+def test_gaps_of_a_policy_against_its_copy_are_exactly_zero(n_states, counts, seed, kind):
+    fx = random_mg(seed, n_states=n_states, horizon=3, action_counts=counts)
+    game = fx.game
+    rnd = [Deviation(i, np.random.default_rng(i).integers(0, n, size=(n_states, n)))
+           for i, n in enumerate(counts)]
+    explicit = [(Deviation.identity(game, i), rnd[i], Deviation(i, rnd[i].table, label="dup"))
+                for i in range(len(counts))]
+    per_agent = [COMPLETE] * len(counts) if kind == "complete" else \
+        [COMPLETE if i == len(counts) - 1 else explicit[i] for i in range(len(counts))]
+    if kind == "mixed" and len(counts) == 1:
+        per_agent = explicit          # one agent: explicit deviations and duplicates
+    phi = DeviationClass(tuple(per_agent))
+    for sigma in (fx.expert, fx.learner):
+        copy = MediatorPolicy(sigma.table.copy())
+        report = evaluate_pair(game, sigma, copy, phi)
+        assert (report.value_gap, report.regret_gap, report.moment_error) == (0.0, 0.0, 0.0)
+        assert report.values_expert == report.values_learner
+        assert report.regret_expert == report.regret_learner
+        assert regret_gap(game, sigma, copy, phi) == 0.0
+        assert value_gap(game, sigma, copy) == 0.0
+        assert moment_matching_error(game, sigma, copy) == 0.0
+
+
+@pytest.mark.parametrize("n_states,counts,seed", ROUNDING_SHAPES + [(5, (2, 3), 7)])
+def test_forward_matches_reference_on_stationary_and_time_indexed_stacks(n_states, counts, seed):
+    fx = random_mg(seed, n_states=n_states, horizon=4, action_counts=counts)
+    game = fx.game
+    rng = np.random.default_rng(seed)
+    A = game.n_joint_actions
+    for shape in ((5, n_states, A), (5, game.horizon, n_states, A)):
+        tables = rng.dirichlet(np.ones(A), size=shape[:-1])
+        tables[3] = tables[1]                            # a duplicate column
+        d = evaluate._forward(game, tables)
+        np.testing.assert_allclose(d, ref_forward(game, tables), rtol=0, atol=TOL)
+        np.testing.assert_array_equal(d[3], d[1])
+        # a column's result does not depend on the stack around it when stationary
+        if len(shape) == 3:
+            for k in range(len(tables)):
+                np.testing.assert_array_equal(evaluate._forward(game, tables[k:k + 1])[0], d[k])
 
 
 def test_moment_constant_matches_reference_on_suite_and_fixtures():

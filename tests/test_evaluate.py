@@ -226,6 +226,18 @@ class TestStructuralConstants:
         with pytest.raises(ValueError):
             recoverability_constant(fx.game, fx.expert, dc)
 
+    @pytest.mark.parametrize("n_agents", [1, 3])
+    @pytest.mark.parametrize("which", ["u", "moment-u", "evaluate_pair"])
+    def test_class_for_another_agent_count_rejected(self, which, n_agents):
+        # a 2-agent game with a class for 1 or 3 agents
+        fx = random_mg(3, n_states=4, horizon=3, action_counts=(2, 2))
+        dc = DeviationClass.complete(n_agents)
+        call = {"u": lambda: recoverability_constant(fx.game, fx.expert, dc),
+                "moment-u": lambda: moment_recoverability_constant(fx.game, fx.expert, dc),
+                "evaluate_pair": lambda: evaluate_pair(fx.game, fx.expert, fx.learner, dc)}[which]
+        with pytest.raises(ValueError, match="does not match the game's agent count"):
+            call()
+
     def test_single_state_coverage_is_one(self):
         fx_r, _ = multi_ce_nfg()
         assert coverage_constant(fx_r.game, fx_r.expert) == 1.0
@@ -408,6 +420,19 @@ class TestGaps:
         dc = DeviationClass.complete(2)
         assert value_gap(fx.game, fx.expert, fx.expert) == 0.0
         assert regret_gap(fx.game, fx.expert, fx.expert, dc) == 0.0
+
+    @pytest.mark.parametrize("which", ["evaluate_pair", "regret_gap", "value_gap", "moment_matching_error"])
+    def test_learner_of_another_shape_rejected(self, which):
+        fx = random_mg(3, n_states=4, horizon=3, action_counts=(2, 2))
+        game = fx.game
+        learner = MediatorPolicy(np.full((game.n_states - 1, game.n_joint_actions), 0.25))
+        dc = DeviationClass.complete(2)
+        call = {"evaluate_pair": lambda: evaluate_pair(game, fx.expert, learner, dc),
+                "regret_gap": lambda: regret_gap(game, fx.expert, learner, dc),
+                "value_gap": lambda: value_gap(game, fx.expert, learner),
+                "moment_matching_error": lambda: moment_matching_error(game, fx.expert, learner)}[which]
+        with pytest.raises(ValueError, match=r"policy shape \(3, 4\) does not match game"):
+            call()
 
     def test_nfg_value_gaps(self):
         fx_r, _ = multi_ce_nfg()
