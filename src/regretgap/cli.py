@@ -201,7 +201,8 @@ def _cmd_train(args) -> int:
     elif args.algo == "jirl":
         res = j_irl(game, expert, rounds=args.rounds)
         policy = res.policy
-        summary.update(final_loss=res.final_error, best_round=res.best_round)
+        summary.update(final_loss=res.final_error, best_round=res.best_round,
+                       rounds_run=res.rounds_run)
     else:
         if args.algo == "malice":
             res = malice_train(game, expert, phi, cfg)

@@ -38,6 +38,7 @@ from .games import (
     _sample_batch,
     induced_tables,
     policy_tables,
+    reachable_steps,      # re-exported: evaluate.reachable_steps stays public
 )
 
 
@@ -72,8 +73,9 @@ def _forward(game: MarkovGame, tables: np.ndarray) -> np.ndarray:
     P_h(s, s') = sum_a pi_h(a|s) T(s'|s,a), K S^2 floats (20 MB for K = 64 at
     200 states), is formed once for a stationary stack, one product per
     (column, state) so a column's d does not depend on the stack, and every
-    step for a time-indexed one, one matmul (S, K, A) @ (S, A, S)."""
-    first, inverse = _distinct(tables)
+    step for a time-indexed one, one matmul (S, K, A) @ (S, A, S), where
+    bitwise-equal columns share one DP column."""
+    first, inverse = _distinct(tables) if tables.ndim == 4 else (slice(None), slice(None))
     tables = tables[first]
     H, S = game.horizon, game.n_states
     d = np.empty((len(tables), H, 1, S))
@@ -310,24 +312,14 @@ def enumerate_stationary_best_response(game: MarkovGame, sigma: MediatorPolicy, 
 # ---------------------------------------------------------------------------
 
 
-def reachable_steps(game: MarkovGame) -> np.ndarray:
-    """(H, S) bool: can state s be reached at step h under some play."""
-    H, S = game.horizon, game.n_states
-    reach = np.zeros((H, S), dtype=bool)
-    reach[0] = game.initial_dist > 0
-    step = (game.transition > 0).any(axis=1)   # (S, S') edge exists under some action
-    for h in range(1, H):
-        reach[h] = reach[h - 1] @ step
-    return reach
-
-
 def is_time_layered(game: MarkovGame) -> bool:
     """True when every state is reachable at no more than one step.
 
     On such games a stationary deviation loses nothing against a per-step
     one, so the best-response DP is exact over stationary classes too.
+    Computed once per game.
     """
-    return bool((reachable_steps(game).sum(axis=0) <= 1).all())
+    return game._time_layered
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +363,10 @@ def regret_report(game: MarkovGame, sigma: MediatorPolicy, deviations: Deviation
 
 
 def _regret_report(game: MarkovGame, sigmas: np.ndarray, deviations: DeviationClass,
-                   complete_mode: str = "dp", layered: bool | None = None, u: bool = False):
+                   complete_mode: str = "dp", u: bool = False):
     """regret_report of each policy of the (P, S, A) stack sigmas, their
     obedient J_i (P, m) and, when ``u``, u of sigmas[0] (else None), all from
-    one backward sweep, so an identity deviation's gain is exactly 0.0.
-    ``layered`` is is_time_layered(game) when the caller has it."""
+    one backward sweep, so an identity deviation's gain is exactly 0.0."""
     if deviations.num_agents != game.num_agents:
         raise ValueError("deviation class does not match the game's agent count")
     if complete_mode not in ("dp", "enumerate"):
@@ -389,8 +380,7 @@ def _regret_report(game: MarkovGame, sigmas: np.ndarray, deviations: DeviationCl
                        complete if complete_mode == "dp" else [],
                        len(explicit) + len(complete) if u else None)
     J_obey = J[:, len(explicit) + np.argsort(ids)]       # (P, m)
-    exact = complete_mode == "enumerate" or not complete or (
-        is_time_layered(game) if layered is None else layered)
+    exact = complete_mode == "enumerate" or not complete or is_time_layered(game)
     reports = []
     for sigma, J_p, J_o, brs_p in zip(sigmas, J, J_obey, brs):
         deviated = iter(J_p)
@@ -605,8 +595,7 @@ def evaluate_pair(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPol
     error)."""
     _u_candidates(game, deviations)      # u needs a deviation for every explicit agent
     tables = _stack(game, expert, learner)
-    layered = deviations.all_explicit() or is_time_layered(game)
-    (rep_e, rep_l), (ve, vl), u = _regret_report(game, tables, deviations, layered=layered, u=True)
+    (rep_e, rep_l), (ve, vl), u = _regret_report(game, tables, deviations, u=True)
     d = _forward(game, tables)                                # (2, H, S)
     return EvalReport(
         values_expert=tuple(float(x) for x in ve),

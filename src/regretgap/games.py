@@ -134,6 +134,11 @@ class MarkovGame:
         grids = np.unravel_index(np.arange(self.n_joint_actions), self.action_counts)
         return _frozen_array(np.stack(grids, axis=0), dtype=np.int64)
 
+    @cached_property
+    def _time_layered(self) -> bool:
+        """Every state is reachable at no more than one step."""
+        return bool((reachable_steps(self).sum(axis=0) <= 1).all())
+
     def agent_component(self, agent: int) -> np.ndarray:
         return self._components[agent]
 
@@ -355,6 +360,17 @@ def validate_policy(game: MarkovGame, policy: MediatorPolicy, atol: float = SIMP
     if (policy.table < 0).any():
         bad.append("policy has negative entries")
     return ValidationReport(ok=not bad, violations=tuple(bad))
+
+
+def reachable_steps(game: MarkovGame) -> np.ndarray:
+    """(H, S) bool: can state s be reached at step h under some play."""
+    H, S = game.horizon, game.n_states
+    reach = np.zeros((H, S), dtype=bool)
+    reach[0] = game.initial_dist > 0
+    step = (game.transition > 0).any(axis=1)   # (S, S') edge exists under some action
+    for h in range(1, H):
+        reach[h] = reach[h - 1] @ step
+    return reach
 
 
 # ---------------------------------------------------------------------------

@@ -187,12 +187,12 @@ def _greedy_joint_policy(game: MarkovGame, reward_sa: np.ndarray) -> np.ndarray:
     """Per-step deterministic optimizer of a shared reward on the joint MDP."""
     H, S, A = game.horizon, game.n_states, game.n_joint_actions
     tables = np.zeros((H, S, A))
-    v = np.zeros(S)
+    v, states = np.zeros(S), np.arange(S)
     for h in reversed(range(H)):
         q = reward_sa + np.einsum("sax,x->sa", game.transition, v)
         best = q.argmax(axis=1)
-        tables[h, np.arange(S), best] = 1.0
-        v = q[np.arange(S), best]
+        tables[h, states, best] = 1.0
+        v = q[states, best]
     return tables
 
 
@@ -212,14 +212,20 @@ def _soft_joint_policy(game: MarkovGame, reward_sa: np.ndarray, temperature: flo
     return tables
 
 
-def _stationarize(per_step_joint: np.ndarray, fallback_row: np.ndarray) -> np.ndarray:
-    """Stationary policy whose rows follow the summed per-step flows."""
-    mass = per_step_joint.sum(axis=0)          # (S, A)
-    totals = mass.sum(axis=1)
-    table = np.tile(fallback_row, (mass.shape[0], 1))
+def _stationarize(mass: np.ndarray, fallback_row: np.ndarray) -> np.ndarray:
+    """Stationary policies (K, S, A) whose rows follow the (K, S, A) flows
+    summed over steps."""
+    totals = mass.sum(axis=2)
+    table = np.broadcast_to(fallback_row, mass.shape).copy()
     pos = totals > SUPPORT_TOL
     table[pos] = mass[pos] / totals[pos, None]
     return table
+
+
+# A block of K candidates is scored at once; its scratch, K S^2 kernel floats,
+# K H S state probabilities and a few (K, S, A) tables, stays within 2 MiB.
+_BLOCK_FLOATS = 1 << 18
+_MAX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -243,39 +249,55 @@ def j_irl(game: MarkovGame, expert: MediatorPolicy, rounds: int,
     policy player best-responds on the joint-action MDP, exactly or by soft
     value iteration at the given temperature.  The mixture's per-step flows
     are distilled into a stationary candidate each round, scored by its
-    exact occupancy distance to the expert, and the best candidate wins.
+    exact occupancy distance to the expert, and the first best candidate
+    wins; the run stops once it is within ``tol``.
+
+    The recurrence never reads a candidate, so candidates are scored in
+    blocks of 1, 2, 4, ... up to 64 rounds (fewer on large games) with one
+    forward DP per block; rounds a block ran past the stop are dropped.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
     if policy_player not in ("exact-br", "soft-vi"):
         raise ValueError(f"unknown policy player {policy_player!r}")
-    S, A = game.n_states, game.n_joint_actions
+    H, S, A = game.horizon, game.n_states, game.n_joint_actions
     rho_expert = occupancy_bundle(game, expert).avg_joint
     current = (init if init is not None else MediatorPolicy.uniform(game))
     mix_sum = occupancy_bundle(game, current).per_step_joint.copy()
     uniform_row = np.full(A, 1.0 / A)
+    cap = max(1, min(_MAX_BLOCK, _BLOCK_FLOATS // (S * S + H * S + 4 * S * A)))
+    masses = np.empty((cap, S, A))     # each round's mixture flows summed over steps
     errors: list[float] = []
     best_err, best_table, best_round = np.inf, None, 0
-    for n in range(1, rounds + 1):
-        mix = mix_sum / n
-        candidate = _stationarize(mix, uniform_row)
-        d = _forward(game, candidate[None])[0]
-        err = float(np.abs(rho_expert - (d[:, :, None] * candidate).mean(axis=0)).sum())
-        errors.append(err)
-        if err < best_err:
-            best_err, best_table, best_round = err, candidate, n
-        if best_err <= tol:
-            break
-        residual = rho_expert - mix.mean(axis=0)
-        if regularizer_weight > 0:
-            f = np.clip(residual / (2.0 * regularizer_weight), -1.0, 1.0)
-        else:
-            f = np.sign(residual)
-        if policy_player == "exact-br":
-            new_tables = _greedy_joint_policy(game, f)
-        else:
-            new_tables = _soft_joint_policy(game, f, temperature)
-        mix_sum += _forward(game, new_tables[None])[0][:, :, None] * new_tables
+    n, size = 0, 1
+    while n < rounds and best_err > tol:
+        block = min(size, cap, rounds - n)
+        for k in range(block):
+            n += 1
+            masses[k] = (mix_sum / n).sum(axis=0)
+            residual = rho_expert - masses[k] / H       # the mixture's mean over steps
+            if regularizer_weight > 0:
+                f = np.clip(residual / (2.0 * regularizer_weight), -1.0, 1.0)
+            else:
+                f = np.sign(residual)
+            if policy_player == "exact-br":
+                new_tables = _greedy_joint_policy(game, f)
+            else:
+                new_tables = _soft_joint_policy(game, f, temperature)
+            mix_sum += _forward(game, new_tables[None])[0][:, :, None] * new_tables
+        cands = _stationarize(masses[:block], uniform_row)
+        d = _forward(game, cands)[..., None]
+        rho = d[:, 0] * cands           # summed over steps in order, as mean(axis=1) sums
+        for h in range(1, H):
+            rho += d[:, h] * cands
+        errs = np.abs(rho_expert - rho / H).sum(axis=(1, 2))
+        for cand, err in zip(cands, errs.tolist()):
+            errors.append(err)
+            if err < best_err:
+                best_err, best_table, best_round = err, cand, len(errors)
+            if best_err <= tol:
+                break
+        size *= 2
     return JIRLResult(policy=MediatorPolicy(best_table), errors=tuple(errors),
                       best_round=best_round, final_error=best_err, rounds_run=len(errors))
 

@@ -42,11 +42,12 @@ from regretgap import (
     value_gap,
     values,
 )
-from regretgap import evaluate, learners
+from regretgap import evaluate, games, learners
 from regretgap.fixtures import (alice_lb_game, coverage_lb_game, fig1_game, random_deviation_class,
                                 random_mg)
 from regretgap.games import _push, _push_index, _pushforward, policy_tables
 from regretgap.harness import property_suite_games
+from regretgap.losses import SUPPORT_TOL
 
 TOL = 1e-12
 
@@ -194,6 +195,16 @@ def ref_component_values(self, policy):
     return np.array([c.value(policy) for c in self.components])
 
 
+def ref_stationarize(per_step_joint, fallback_row):
+    """The stationary candidate of one round, from its (H, S, A) flows."""
+    mass = per_step_joint.sum(axis=0)
+    totals = mass.sum(axis=1)
+    table = np.tile(fallback_row, (mass.shape[0], 1))
+    pos = totals > SUPPORT_TOL
+    table[pos] = mass[pos] / totals[pos, None]
+    return table
+
+
 def ref_j_irl(game, expert, rounds, policy_player="exact-br", temperature=1.0,
               regularizer_weight=0.0, init=None, tol=1e-9):
     """The j_irl loop that rebuilt the expert occupancy and two occupancy
@@ -205,7 +216,7 @@ def ref_j_irl(game, expert, rounds, policy_player="exact-br", temperature=1.0,
     errors = []
     best_err, best_table, best_round = np.inf, None, 0
     for n in range(1, rounds + 1):
-        candidate = learners._stationarize(mix_sum / n, uniform_row)
+        candidate = ref_stationarize(mix_sum / n, uniform_row)
         err = moment_matching_error(game, expert, MediatorPolicy(candidate), normalized=True)
         errors.append(err)
         if err < best_err:
@@ -362,6 +373,22 @@ def test_regret_gap_and_moment_error_run_one_dp_each(monkeypatch):
     assert calls == {"_backward": 1, "_forward": 1}
 
 
+def test_evaluate_pair_computes_time_layering_once_per_game(monkeypatch):
+    """A COMPLETE agent needs to know whether the game is time-layered; the
+    answer is computed once per game and every later report reuses it."""
+    calls = []
+    inner = games.reachable_steps
+    monkeypatch.setattr(games, "reachable_steps", lambda game: calls.append(game) or inner(game))
+    fx = random_mg(7, n_states=5, horizon=3, action_counts=(2, 3))
+    phi = DeviationClass((COMPLETE, random_deviation_class(fx.game, per_agent=3, seed=1).per_agent[1]))
+    first = evaluate_pair(fx.game, fx.expert, fx.learner, phi)
+    second = evaluate_pair(fx.game, fx.expert, fx.learner, phi)
+    regret_report(fx.game, fx.learner, phi)
+    assert len(calls) == 1
+    assert first == second
+    np.testing.assert_array_equal(evaluate.reachable_steps(fx.game), inner(fx.game))
+
+
 # shapes where one BLAS matmul rounds equal rows apart: (n_states, action counts, game seed)
 ROUNDING_SHAPES = [(37, (1, 2), 371), (17, (3,), 1703), (33, (3,), 3303), (26, (2, 3), 2606)]
 
@@ -483,6 +510,43 @@ def test_j_irl_matches_reference_loop(variant):
         np.testing.assert_array_equal(res.policy.table, table)
         if variant == "init-expert":
             assert rounds_run == 1      # the early stop ran
+
+
+@pytest.mark.parametrize("player", ["exact-br", "soft-vi"])
+def test_j_irl_block_edges_match_reference_loop(player):
+    """j_irl scores candidates in blocks of 1, 2, 4, ... 64 rounds; every
+    block edge and an early stop inside a block (rounds 6 and 70 or 71 on
+    this game) match the reference loop bitwise."""
+    _, fx, _ = property_suite_games(5)[4]
+    kwargs = {"policy_player": player, "temperature": 0.5}
+    full = ref_j_irl(fx.game, fx.expert, 200, **kwargs)[0]
+    cases = [(r, 1e-9) for r in (1, 2, 3, 4, 63, 64, 65, 128, 129, 200)]
+    cases += [(200, full[5]), (200, full[70])]
+    for rounds, tol in cases:
+        res = j_irl(fx.game, fx.expert, rounds=rounds, tol=tol, **kwargs)
+        errors, best_round, rounds_run, table = ref_j_irl(fx.game, fx.expert, rounds, tol=tol, **kwargs)
+        assert res.errors == errors
+        assert (res.best_round, res.rounds_run) == (best_round, rounds_run)
+        np.testing.assert_array_equal(res.policy.table, table)
+        if tol > 1e-9:      # the stop is not the last round of a block (1, 3, 7, ... 127)
+            assert rounds_run < 200 and (rounds_run + 1) & rounds_run
+
+
+def test_j_irl_memory_stays_bounded_at_the_desk_cap():
+    """200 states, 6x6 joint actions, H 10: a block's scratch is capped, so
+    70 rounds peak under 8 MB of numpy allocations (the game's transition
+    tensor alone is 11.5 MB and is built before tracing starts)."""
+    import tracemalloc
+
+    fx = random_mg(11, n_states=200, horizon=10, action_counts=(6, 6))
+    tracemalloc.start()
+    try:
+        res = j_irl(fx.game, fx.expert, rounds=70)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rounds_run == 70
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("n_states,counts,copies", [(17, (3,), 6), (33, (3,), 13), (26, (2, 3), 6)])

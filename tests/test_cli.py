@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from regretgap import io, is_time_layered
+from regretgap import MediatorPolicy, io, is_time_layered
 from regretgap.cli import EXIT_ASSUMPTION, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from regretgap.harness import CSV_COLUMNS, run_sweep
 
@@ -197,6 +197,20 @@ class TestTrain:
         assert rc == EXIT_OK
         summary = io.load_json(tmp_path / "run" / "summary.json")
         assert summary["final_loss"] <= 1.0
+        assert 1 <= summary["rounds_run"] <= summary["rounds"] == 50
+
+    def test_jirl_reports_the_rounds_it_ran(self, tmp_path):
+        # an expert equal to the uniform start is matched in round 1
+        main(["gen", "--name", "random", "--seed", "6", "--states", "3",
+              "--out", str(tmp_path)])
+        game = io.load_game(tmp_path / "game.json")
+        io.save_policy(MediatorPolicy.uniform(game), tmp_path / "expert.json")
+        rc = main(["train", "--algo", "jirl", "--game", str(tmp_path / "game.json"),
+                   "--expert", str(tmp_path / "expert.json"),
+                   "--rounds", "50", "--out", str(tmp_path / "run")])
+        assert rc == EXIT_OK
+        summary = io.load_json(tmp_path / "run" / "summary.json")
+        assert (summary["rounds"], summary["rounds_run"], summary["best_round"]) == (50, 1, 1)
 
 
 class TestVerify:
