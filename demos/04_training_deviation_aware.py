@@ -12,7 +12,6 @@ Run:  python demos/04_training_deviation_aware.py
 from regretgap import (
     DeviationClass,
     ExpertOracle,
-    OCOConfig,
     TrainConfig,
     blades_train,
     coverage_constant,
@@ -74,7 +73,7 @@ except Exception as exc:
 
 oracle = ExpertOracle(fx1.expert)
 demos = sample_demonstrations(fx1.game, fx1.expert, 50, seed=1)
-cfg = TrainConfig(rounds=8, oco=OCOConfig(rounds=8, rule="ftl"))
+cfg = TrainConfig(rounds=8, rule="ftl")
 res = blades_train(fx1.game, oracle, demos, fx1.witness_class(), cfg)
 print("blades with dataset aggregation: regret gap",
       regret_gap(fx1.game, fx1.expert, res.policy, complete),

@@ -50,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--states", type=int, default=None)
     p_gen.add_argument("--agents", type=int, default=None)
+    p_gen.set_defaults(run=_cmd_gen)
 
     p_eval = sub.add_parser("eval", help="evaluate an expert/learner pair")
     p_eval.add_argument("--game", required=True)
@@ -59,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--deviation-file", action="append", default=[])
     p_eval.add_argument("--out-json", default=None)
     p_eval.add_argument("--out-csv", default=None)
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_train = sub.add_parser("train", help="train a mediator policy")
     p_train.add_argument("--algo", required=True, choices=("jbc", "jirl", "malice", "blades"))
@@ -73,14 +75,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--fill-rule", default="uniform",
                          choices=("uniform", "copy-expert", "adversarial-worst-case"))
     p_train.add_argument("--out", required=True)
+    p_train.set_defaults(run=_cmd_train)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", required=True)
     p_verify.add_argument("--tolerance", type=float, default=None)
     p_verify.add_argument("--out", default=None)
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep from a JSON config")
     p_sweep.add_argument("--config", required=True)
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     return parser
 
@@ -266,17 +271,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return EXIT_USAGE
+        return args.run(args)
     except CoverageError as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION

@@ -65,47 +65,37 @@ def _check(fixture: Fixture) -> Fixture:
 # ---------------------------------------------------------------------------
 
 
-def _fork_chain_game(horizon: int, action_counts: tuple[int, ...], gate_joint: int,
-                     rewarded_top_states: int, num_agents: int,
-                     name_prefix: str = "s") -> MarkovGame:
+def _fork_chain_game(horizon: int, action_counts: tuple[int, ...], gates: tuple[int, ...],
+                     rewarded: range, num_agents: int) -> MarkovGame:
     """Fork-and-chains layout over states s0 .. s_{2H-2}.
 
-    s0 goes to s1 (top) under the gate joint action and to s2 (bottom)
-    otherwise; s1 goes to s3 under the gate and to s4 otherwise; every
-    later state advances two indices per step regardless of actions, and
-    the chain ends absorb.  The first ``rewarded_top_states`` states of the
-    top chain after the second fork (s3, s5, ...) pay 1 to every agent,
-    action-free.
+    The top chain is s1, s3, s5, ... and the bottom chain s2, s4, ....
+    Fork j sits at s0 (j = 0) or at the top state s_{2j-1}: under gate
+    joint action ``gates[j]`` it goes up to s_{2j+1}, otherwise down to
+    s_{2j+2}.  Every other state advances two indices per step regardless
+    of actions, and the chain ends absorb.  The states in ``rewarded`` pay
+    1 to every agent, action-free.
     """
-    H = horizon
-    if H < 3:
-        raise ValueError("fork-chain games need horizon >= 3")
-    S = 2 * H - 1
+    S = 2 * horizon - 1
     A = int(np.prod(action_counts))
     T = np.zeros((S, A, S))
-    gate = gate_joint
-    T[0, :, 2] = 1.0
-    T[0, gate, 2] = 0.0
-    T[0, gate, 1] = 1.0
-    T[1, :, 4] = 1.0
-    T[1, gate, 4] = 0.0
-    T[1, gate, 3] = 1.0
-    T[2, :, 4] = 1.0
     # chains advance two indices per step; both ends drain into the
     # unrewarded bottom end so off-path continuations never re-collect
-    for k in range(3, S):
-        nxt = k + 2 if k + 2 < S else S - 1
-        T[k, :, nxt] = 1.0
-    T[S - 1, :, :] = 0.0
-    T[S - 1, :, S - 1] = 1.0
+    for k in range(1, S):
+        T[k, :, min(k + 2, S - 1)] = 1.0
+    for j, gate in enumerate(gates):
+        fork = 2 * j - 1 if j else 0
+        T[fork] = 0.0
+        T[fork, :, 2 * j + 2] = 1.0
+        T[fork, gate, 2 * j + 2] = 0.0
+        T[fork, gate, 2 * j + 1] = 1.0
     r = np.zeros((num_agents, S, A))
-    for j in range(rewarded_top_states):
-        r[:, 3 + 2 * j, :] = 1.0
+    r[:, list(rewarded), :] = 1.0
     rho0 = np.zeros(S)
     rho0[0] = 1.0
-    names = tuple(f"{name_prefix}{k}" for k in range(S))
+    names = tuple(f"s{k}" for k in range(S))
     agent_actions = tuple(tuple(f"a{j + 1}" for j in range(n)) for n in action_counts)
-    return MarkovGame(horizon=H, num_agents=num_agents, states=names,
+    return MarkovGame(horizon=horizon, num_agents=num_agents, states=names,
                       actions=agent_actions, transition=T, rewards=r,
                       initial_dist=rho0)
 
@@ -124,8 +114,8 @@ def fig1_game(horizon: int = 8) -> Fixture:
     H = int(horizon)
     if H < 3:
         raise ValueError("horizon must be at least 3")
-    counts = (3, 3)
-    game = _fork_chain_game(H, counts, gate_joint=3, rewarded_top_states=H - 2, num_agents=2)
+    game = _fork_chain_game(H, (3, 3), gates=(3, 3), rewarded=range(3, 2 * H - 2, 2),
+                            num_agents=2)
     a1a1 = 0
     a3a3 = 8
     expert_idx = np.zeros(game.n_states, dtype=np.int64)
@@ -166,7 +156,7 @@ def coverage_lb_game(horizon: int = 20, u: float = 10, beta: float = 0.05,
         raise ValueError("need 0 < beta <= 1/4")
     if eps < 0 or eps * H / (2 * beta) > 0.5:
         raise ValueError("need 0 <= eps with eps*H/(2*beta) <= 1/2 to stay on the simplex")
-    game = _fork_chain_game(H, (3, 3), gate_joint=3, rewarded_top_states=u_floor - 2,
+    game = _fork_chain_game(H, (3, 3), gates=(3, 3), rewarded=range(3, 2 * u_floor - 2, 2),
                             num_agents=2)
     carve = eps * H / (2 * beta)
     expert = MediatorPolicy.from_rows(
@@ -231,23 +221,8 @@ def alice_lb_game(horizon: int = 20, u: float = 6, beta: float = 0.1,
         raise ValueError("need beta > 0")
     if eps < 0 or beta + H * eps > 1:
         raise ValueError("need 0 <= eps with beta + H*eps <= 1 to stay on the simplex")
-    # single fork at s0 only; both chains advance under every action
-    S = 2 * H - 1
-    T = np.zeros((S, 2, S))
-    T[0, 0, 1] = 1.0
-    T[0, 1, 2] = 1.0
-    for k in range(1, S):
-        nxt = k + 2 if k + 2 < S else S - 1
-        T[k, :, nxt] = 1.0
-    T[S - 1, :, :] = 0.0
-    T[S - 1, :, S - 1] = 1.0
-    r = np.zeros((1, S, 2))
-    for j in range(u_floor - 1):
-        r[:, 1 + 2 * j, :] = 1.0
-    rho0 = np.zeros(S)
-    rho0[0] = 1.0
-    game = MarkovGame(H, 1, tuple(f"s{k}" for k in range(S)), (("a1", "a2"),),
-                      T, r, rho0)
+    game = _fork_chain_game(H, (2,), gates=(0,), rewarded=range(1, 2 * u_floor - 1, 2),
+                            num_agents=1)
     expert = MediatorPolicy.from_rows(
         game, {"s0": {("a1",): 1 - beta, ("a2",): beta}}, default=_one_hot(2, 0)
     )

@@ -105,10 +105,22 @@ def write_rows(path, rows) -> None:
             writer.writerow(row.to_csv_dict())
 
 
-def _timed_row(row: ReportRow, started: float, setup_ms: float = 0.0) -> ReportRow:
-    """Charge the row the time since ``started`` plus memoized setup work."""
-    row.runtime_ms = (time.perf_counter() - started) * 1000.0 + setup_ms
-    return row
+def _timed(suite):
+    """Turn a suite body that yields its rows into one that returns them, each
+    charged the wall time since the previous row (or the call) on top of the
+    ``runtime_ms`` the body set, its game's memoized training time.  Work the
+    body does before it returns its generator is not charged."""
+    @functools.wraps(suite)
+    def run(*args, **kwargs) -> list[ReportRow]:
+        rows = suite(*args, **kwargs)
+        out, started = [], time.perf_counter()
+        for row in rows:
+            now = time.perf_counter()
+            row.runtime_ms += (now - started) * 1000.0
+            out.append(row)
+            started = now
+        return out
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -186,51 +198,46 @@ def property_suite_results(count: int = _PROPERTY_SUITE_SIZE, rounds: int = _PRO
 # ---------------------------------------------------------------------------
 
 
+@_timed
 def suite_thm3(tol: float = EQ_TOL) -> list[ReportRow]:
     """Occupancy-equal pairs whose regret gap still grows linearly in H."""
-    rows = []
     for H in (4, 8, 16, 32):
-        t0 = time.perf_counter()
         fx = fig1_game(H)
         dc = DeviationClass.complete(2)
         occ_l1 = moment_matching_error(fx.game, fx.expert, fx.learner, normalized=True)
         gap = regret_gap(fx.game, fx.expert, fx.learner, dc)
         ok = occ_l1 <= 1e-12 and abs(gap - (H - 2)) <= tol
-        rows.append(_timed_row(ReportRow(
+        yield ReportRow(
             suite="thm3", fixture=f"fig1(H={H})", H=H, m=2,
             expected=float(H - 2), measured=gap, value_gap=occ_l1,
-            regret_gap=gap, passed=ok), t0))
-    return rows
+            regret_gap=gap, passed=ok)
 
 
+@_timed
 def suite_coverage_lb(tol: float = EQ_TOL, suite_name: str = "thm6-lb") -> list[ReportRow]:
     """Full-coverage construction: imitation error eps, moment error <= 2 eps,
     regret gap exactly eps*H/(2 beta) * (u'-2)."""
     fx = coverage_lb_game()
     H, u, beta, eps = (fx.params[k] for k in ("H", "u", "beta", "eps"))
     dc = DeviationClass.complete(2)
-    rows = []
-    t0 = time.perf_counter()
     d_e = occupancy_bundle(fx.game, fx.expert).avg_state
     bc_err = weighted_tv_loss(fx.expert, fx.learner, d_e)
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite=suite_name, fixture="coverage-lb/bc-error", H=H, m=2, beta=beta, eps=eps,
-        expected=eps, measured=bc_err, passed=abs(bc_err - eps) <= tol), t0))
-    t0 = time.perf_counter()
+        expected=eps, measured=bc_err, passed=abs(bc_err - eps) <= tol)
     mom = moment_matching_error(fx.game, fx.expert, fx.learner, normalized=True)
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite=suite_name, fixture="coverage-lb/moment", H=H, m=2, beta=beta, eps=eps,
-        bound=2 * eps + tol, measured=mom, passed=mom <= 2 * eps + tol), t0))
-    t0 = time.perf_counter()
+        bound=2 * eps + tol, measured=mom, passed=mom <= 2 * eps + tol)
     gap = regret_gap(fx.game, fx.expert, fx.learner, dc)
     expected = fx.expected["regret_gap"]
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite=suite_name, fixture="coverage-lb/regret-gap", H=H, m=2, beta=beta, eps=eps,
         u=u, expected=expected, measured=gap, regret_gap=gap,
-        passed=abs(gap - expected) <= tol), t0))
-    return rows
+        passed=abs(gap - expected) <= tol)
 
 
+@_timed
 def suite_alice_lb(tol: float = EQ_TOL, which: str = "malice") -> list[ReportRow]:
     """Single-agent fork: deviation-aware losses stay at eps while the regret
     gap is eps*H*(u'-1)."""
@@ -238,8 +245,6 @@ def suite_alice_lb(tol: float = EQ_TOL, which: str = "malice") -> list[ReportRow
     H, u, beta, eps = (fx.params[k] for k in ("H", "u", "beta", "eps"))
     phi = fx.witness_class()
     suite_name = "thm8-lb" if which == "malice" else "thm10-lb"
-    rows = []
-    t0 = time.perf_counter()
     d_e = occupancy_bundle(fx.game, fx.expert).avg_state
     dists = [occupancy_bundle(fx.game, induced_tables(fx.game, fx.learner, dev)).avg_state
              for i in range(phi.num_agents) for dev in phi.explicit_for(i)]
@@ -247,24 +252,21 @@ def suite_alice_lb(tol: float = EQ_TOL, which: str = "malice") -> list[ReportRow
         loss = malice_loss(fx.expert, fx.learner, d_e, dists)
     else:
         loss = blades_loss(ExpertOracle(fx.expert), fx.learner, dists)
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite=suite_name, fixture=f"alice-lb/{which}-loss", H=H, m=1, beta=beta, eps=eps,
-        bound=eps + tol, measured=loss, passed=loss <= eps + tol), t0))
-    t0 = time.perf_counter()
+        bound=eps + tol, measured=loss, passed=loss <= eps + tol)
     gap = regret_gap(fx.game, fx.expert, fx.learner, DeviationClass.complete(1))
     expected = fx.expected["regret_gap"]
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite=suite_name, fixture="alice-lb/regret-gap", H=H, m=1, beta=beta, eps=eps, u=u,
         expected=expected, measured=gap, regret_gap=gap,
-        passed=abs(gap - expected) <= tol), t0))
-    return rows
+        passed=abs(gap - expected) <= tol)
 
 
+@_timed
 def suite_single_agent_eq(tol: float = 1e-8, count: int = 100) -> list[ReportRow]:
     """On one-agent games the regret gap equals the value gap exactly."""
-    rows = []
     worst = 0.0
-    t0 = time.perf_counter()
     for k in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(k,)))
         fx = random_mg(rng, n_states=int(rng.integers(2, 9)), horizon=int(rng.integers(2, 7)),
@@ -273,63 +275,59 @@ def suite_single_agent_eq(tol: float = 1e-8, count: int = 100) -> list[ReportRow
         rg_ = regret_gap(fx.game, fx.expert, fx.learner, dc)
         vg = value_gap(fx.game, fx.expert, fx.learner)
         worst = max(worst, abs(rg_ - vg))
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite="single-agent-eq", fixture=f"random-mdp x{count}", m=1, N=count,
-        bound=tol, measured=worst, passed=worst <= tol), t0))
-    return rows
+        bound=tol, measured=worst, passed=worst <= tol)
 
 
+@_timed
 def suite_nfg(tol: float = 1e-12) -> list[ReportRow]:
     """Distinct zero-regret policies with different values in the one-shot game."""
     fx_r, fx_rp = multi_ce_nfg()
     dc = DeviationClass.complete(2)
-    rows = []
-    t0 = time.perf_counter()
     r1 = regret(fx_r.game, fx_r.expert, dc)
     r2 = regret(fx_r.game, fx_r.learner, dc)
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite="nfg", fixture="multi-ce-nfg/regrets", m=2, H=1,
         expected=0.0, measured=max(abs(r1), abs(r2)),
-        passed=abs(r1) <= tol and abs(r2) <= tol), t0))
-    t0 = time.perf_counter()
+        passed=abs(r1) <= tol and abs(r2) <= tol)
     vdiff = value(fx_r.game, fx_r.expert, 0) - value(fx_r.game, fx_r.learner, 0)
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite="nfg", fixture="multi-ce-nfg/value-diff", m=2, H=1,
-        expected=1.0 / 3.0, measured=vdiff, passed=abs(vdiff - 1.0 / 3.0) <= tol), t0))
-    t0 = time.perf_counter()
+        expected=1.0 / 3.0, measured=vdiff, passed=abs(vdiff - 1.0 / 3.0) <= tol)
     gap = regret_gap(fx_r.game, fx_r.expert, fx_r.learner, dc)
     vgap = value_gap(fx_r.game, fx_r.expert, fx_r.learner)
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite="nfg", fixture="multi-ce-nfg/regret-gap-zero-value-gap-not", m=2, H=1,
         expected=0.0, measured=gap, value_gap=vgap, regret_gap=gap,
-        passed=abs(gap) <= tol and vgap > 0.1), t0))
-    t0 = time.perf_counter()
+        passed=abs(gap) <= tol and vgap > 0.1)
     rp = regret(fx_rp.game, fx_rp.expert, dc)
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite="nfg", fixture="multi-ce-nfg/rprime-regret", m=2, H=1,
-        expected=0.0, measured=rp, passed=abs(rp) <= tol), t0))
-    return rows
+        expected=0.0, measured=rp, passed=abs(rp) <= tol)
 
 
+@_timed
 def _suite_ub(algo: str, tol: float = BOUND_SLACK) -> list[ReportRow]:
     """Policies of the shared suite obey their regret-gap bounds: exact-fit
     cloning with uniform fill (eps/beta + 2 eps) * u * H on covered games,
     trained MALICE and BLADES 2 * eps_hat * u * H, and BLADES must actually
     have queried the expert."""
     key = "bc" if algo == "jbc" else algo
-    rows = []
-    for rec in property_suite_results():
-        t0 = time.perf_counter()
-        eps, beta, u, H, gap = (rec[k] for k in (f"{key}_eps", "beta", "u", "H", f"{key}_gap"))
-        coverage_term = (eps / beta) * u * H if algo == "jbc" else 0.0
-        bound = coverage_term + 2 * eps * u * H + tol
-        rows.append(_timed_row(ReportRow(
-            suite=f"{algo}-ub", fixture=f"random-{rec['index']}", algo=algo, H=H, m=rec["m"],
-            beta=beta, u=u, eps=eps, N=None if algo == "jbc" else _PROPERTY_ROUNDS,
-            seed=rec["index"], regret_gap=gap, bound=bound, measured=gap,
-            passed=gap <= bound and (algo != "blades" or rec["blades_queries"] > 0)),
-            t0, rec["train_ms"]))
-    return rows
+    records = property_suite_results()      # fetched before the timer starts; rows add train_ms
+
+    def rows():
+        for rec in records:
+            eps, beta, u, H, gap = (rec[k] for k in (f"{key}_eps", "beta", "u", "H", f"{key}_gap"))
+            coverage_term = (eps / beta) * u * H if algo == "jbc" else 0.0
+            bound = coverage_term + 2 * eps * u * H + tol
+            yield ReportRow(
+                suite=f"{algo}-ub", fixture=f"random-{rec['index']}", algo=algo, H=H, m=rec["m"],
+                beta=beta, u=u, eps=eps, N=None if algo == "jbc" else _PROPERTY_ROUNDS,
+                seed=rec["index"], regret_gap=gap, bound=bound, measured=gap,
+                passed=gap <= bound and (algo != "blades" or rec["blades_queries"] > 0),
+                runtime_ms=rec["train_ms"])
+    return rows()
 
 
 suite_jbc_ub = functools.partial(_suite_ub, "jbc")
@@ -337,28 +335,29 @@ suite_malice_ub = functools.partial(_suite_ub, "malice")
 suite_blades_ub = functools.partial(_suite_ub, "blades")
 
 
+@_timed
 def suite_thm4_ce(tol: float = EQ_TOL) -> list[ReportRow]:
     """Trained policies sit within expert-regret + regret-gap of equilibrium."""
-    rows = []
-    for rec in property_suite_results():
-        t0 = time.perf_counter()
-        game, phi = rec["game"], rec["phi"]
-        ok = True
-        for algo in ("bc", "malice", "blades"):
-            eps_ce = rec["regret_expert"] + rec[f"{algo}_gap"] + tol
-            ok = ok and is_approx_ce(game, rec[f"{algo}_policy"], phi, max(eps_ce, 0.0))
-        rows.append(_timed_row(ReportRow(
-            suite="thm4-ce", fixture=f"random-{rec['index']}", H=rec["H"], m=rec["m"],
-            measured=rec["malice_regret"], passed=ok), t0, rec["train_ms"]))
-    return rows
+    records = property_suite_results()      # fetched before the timer starts; rows add train_ms
+
+    def rows():
+        for rec in records:
+            game, phi = rec["game"], rec["phi"]
+            ok = True
+            for algo in ("bc", "malice", "blades"):
+                eps_ce = rec["regret_expert"] + rec[f"{algo}_gap"] + tol
+                ok = ok and is_approx_ce(game, rec[f"{algo}_policy"], phi, max(eps_ce, 0.0))
+            yield ReportRow(
+                suite="thm4-ce", fixture=f"random-{rec['index']}", H=rec["H"], m=rec["m"],
+                measured=rec["malice_regret"], passed=ok, runtime_ms=rec["train_ms"])
+    return rows()
 
 
+@_timed
 def suite_jirl_ub(tol: float = EQ_TOL, count: int = 20, rounds: int = 500) -> list[ReportRow]:
     """Moment matching: value gap is dominated by the unnormalized moment
     error, and the error itself converges below 0.05."""
-    rows = []
     for k in range(count):
-        t0 = time.perf_counter()
         rng = np.random.default_rng(np.random.SeedSequence(entropy=555, spawn_key=(k,)))
         fx = random_mg(rng, n_states=4, horizon=4, action_counts=(2, 2),
                        common_payoff=True, full_coverage_expert=True)
@@ -367,16 +366,15 @@ def suite_jirl_ub(tol: float = EQ_TOL, count: int = 20, rounds: int = 500) -> li
         err_raw = moment_matching_error(fx.game, fx.expert, res.policy, normalized=False)
         vg = value_gap(fx.game, fx.expert, res.policy)
         ok = vg <= err_raw + tol and err_norm <= 0.05
-        rows.append(_timed_row(ReportRow(
+        yield ReportRow(
             suite="jirl-ub", fixture=f"random-cp-{k}", algo="jirl", H=4, m=2,
             N=res.rounds_run, seed=k, value_gap=vg, bound=err_raw + tol,
-            measured=err_norm, passed=ok), t0))
-    return rows
+            measured=err_norm, passed=ok)
 
 
+@_timed
 def suite_lemma1(tol: float = EQ_TOL, count: int = 200) -> list[ReportRow]:
     """|J_i(pi1) - J_i(pi2)| <= u * H * E_{d_pi2}[TV(pi1, pi2)] on random triples."""
-    t0 = time.perf_counter()
     worst = -np.inf
     ok = True
     for k in range(count):
@@ -393,15 +391,15 @@ def suite_lemma1(tol: float = EQ_TOL, count: int = 200) -> list[ReportRow]:
             slack = dj - (eps * u * game.horizon + tol)
             worst = max(worst, slack)
             ok = ok and slack <= 0
-    return [_timed_row(ReportRow(
+    yield ReportRow(
         suite="lemma1", fixture=f"random x{count}", N=count, bound=0.0,
-        measured=worst, passed=ok), t0)]
+        measured=worst, passed=ok)
 
 
+@_timed
 def suite_oco_regret(tol: float = 0.0, rounds: int = 4096) -> list[ReportRow]:
     """Exponentiated gradient keeps average regret within 2 sqrt(log A / N)
     of the best fixed policy on an adversarial alternating loss sequence."""
-    t0 = time.perf_counter()
     A = 4
     targets = [np.zeros((1, A)), np.zeros((1, A))]
     targets[0][0, 0] = 1.0
@@ -420,9 +418,9 @@ def suite_oco_regret(tol: float = 0.0, rounds: int = 4096) -> list[ReportRow]:
     avg_regret = avg_alg - grid_best
     bound = 2.0 * float(np.sqrt(np.log(A) / rounds)) + tol
     ok = avg_regret <= bound
-    return [_timed_row(ReportRow(
+    yield ReportRow(
         suite="oco-regret", fixture=f"alternating x{rounds}", algo="eg", N=rounds,
-        bound=bound, measured=avg_regret, passed=ok), t0)]
+        bound=bound, measured=avg_regret, passed=ok)
 
 
 def _best_fixed_on_grid(targets, rounds, n_actions, steps=20) -> float:
@@ -439,6 +437,7 @@ def _best_fixed_on_grid(targets, rounds, n_actions, steps=20) -> float:
     return best
 
 
+@_timed
 def suite_thm1_dir(tol: float = EQ_TOL) -> list[ReportRow]:
     """Reward sweeps on the occupancy-equal pair: every per-reward value gap
     is zero, negative single-cell rewards identify the occupancy measure
@@ -447,14 +446,13 @@ def suite_thm1_dir(tol: float = EQ_TOL) -> list[ReportRow]:
     fx = fig1_game(H)
     game = fx.game
     dc = DeviationClass.complete(2)
-    rows = []
-    t0 = time.perf_counter()
     S, A = game.n_states, game.n_joint_actions
     rho_e = occupancy_bundle(game, fx.expert).avg_joint
     rho_l = occupancy_bundle(game, fx.learner).avg_joint
     max_vgap = 0.0
     max_rgap = -np.inf
     ident_ok = True
+    pair_ok = True
     for s in range(S):
         for a in range(A):
             for sign in (+1.0, -1.0):
@@ -469,33 +467,25 @@ def suite_thm1_dir(tol: float = EQ_TOL) -> list[ReportRow]:
                     # regret reads off H * occupancy at (s, a) exactly
                     r_l = regret(g2, fx.learner, dc)
                     ident_ok = ident_ok and abs(r_l - H * rho_l[s, a]) <= tol
+                    # equal pair: zero regret gap under every indicator forces equal occupancies
+                    pair_ok = pair_ok and abs(regret_gap(g2, fx.expert, fx.expert, dc)) <= tol
     true_gap = regret_gap(game, fx.expert, fx.learner, dc)
     ok = (max_vgap <= 1e-12 and max_rgap > tol and ident_ok
           and abs(true_gap - (H - 2)) <= tol)
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite="thm1-dir", fixture=f"fig1(H={H})/sweep", H=H, m=2,
         value_gap=max_vgap, regret_gap=true_gap, measured=max_rgap,
-        expected=float(H - 2), passed=ok), t0))
-    # equal pair: zero regret gap under every indicator forces equal occupancies
-    t0 = time.perf_counter()
+        expected=float(H - 2), passed=ok)
     occ_l1 = float(np.abs(rho_e - rho_l).sum())
-    pair_ok = True
-    for s in range(S):
-        for a in range(A):
-            f = np.zeros((S, A))
-            f[s, a] = -1.0
-            g2 = with_common_reward(game, f)
-            pair_ok = pair_ok and abs(regret_gap(g2, fx.expert, fx.expert, dc)) <= tol
-    rows.append(_timed_row(ReportRow(
+    yield ReportRow(
         suite="thm1-dir", fixture=f"fig1(H={H})/equal-pair", H=H, m=2,
-        measured=occ_l1, bound=1e-12, passed=pair_ok and occ_l1 <= 1e-12), t0))
-    return rows
+        measured=occ_l1, bound=1e-12, passed=pair_ok and occ_l1 <= 1e-12)
 
 
+@_timed
 def suite_br_oracle(tol: float = 1e-10, count: int = 200) -> list[ReportRow]:
     """Per-step best-response DP equals stationary brute force on games where
     every state belongs to exactly one step."""
-    t0 = time.perf_counter()
     worst = 0.0
     ok = True
     for k in range(count):
@@ -510,9 +500,9 @@ def suite_br_oracle(tol: float = 1e-10, count: int = 200) -> list[ReportRow]:
             diff = abs(dp.gain - bf.gain)
             worst = max(worst, diff)
             ok = ok and diff <= tol
-    return [_timed_row(ReportRow(
+    yield ReportRow(
         suite="br-oracle", fixture=f"layered x{count}", N=count, bound=tol,
-        measured=worst, passed=ok), t0)]
+        measured=worst, passed=ok)
 
 
 SUITES = {
@@ -536,15 +526,10 @@ SUITES = {
 
 
 def run_suite(name: str, tolerance: float | None = None) -> list[ReportRow]:
-    if name == "all":
-        rows = []
-        for suite_name in SUITES:
-            rows.extend(run_suite(suite_name, tolerance))
-        return rows
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    fn = SUITES[name]
-    return fn() if tolerance is None else fn(tolerance)
+    args = () if tolerance is None else (tolerance,)
+    return [row for suite in (SUITES if name == "all" else [name]) for row in SUITES[suite](*args)]
 
 
 # ---------------------------------------------------------------------------
@@ -572,23 +557,24 @@ def _sweep_cell(fixture: str, params: dict, algo: str, seed: int, rounds: int) -
     if not algo:
         row.expected = fx.expected.get("regret_gap")
         row.passed = row.expected is None or abs(gap - row.expected) <= EQ_TOL
-        return _timed_row(row, t0)
-    phi = fx.witness_class()
-    if algo == "jbc":
-        pol = j_bc(game, expert=fx.expert, fill_rule="uniform")
-    elif algo == "jirl":
-        pol = j_irl(game, fx.expert, rounds=rounds).policy
-    elif algo == "malice":
-        pol = malice_train(game, fx.expert, phi, TrainConfig(rounds=rounds, seed=seed)).policy
-    elif algo == "blades":
-        oracle = ExpertOracle(fx.expert)
-        demos = sample_demonstrations(game, fx.expert, 100, seed=seed)
-        pol = blades_train(game, oracle, demos, phi, TrainConfig(rounds=rounds, seed=seed)).policy
     else:
-        raise ValueError(f"unknown algo {algo!r}")
-    row.measured = regret_gap(game, fx.expert, pol, dc)
-    row.passed = None
-    return _timed_row(row, t0)
+        phi = fx.witness_class()
+        if algo == "jbc":
+            pol = j_bc(game, expert=fx.expert, fill_rule="uniform")
+        elif algo == "jirl":
+            pol = j_irl(game, fx.expert, rounds=rounds).policy
+        elif algo == "malice":
+            pol = malice_train(game, fx.expert, phi, TrainConfig(rounds=rounds, seed=seed)).policy
+        elif algo == "blades":
+            oracle = ExpertOracle(fx.expert)
+            demos = sample_demonstrations(game, fx.expert, 100, seed=seed)
+            pol = blades_train(game, oracle, demos, phi, TrainConfig(rounds=rounds, seed=seed)).policy
+        else:
+            raise ValueError(f"unknown algo {algo!r}")
+        row.measured = regret_gap(game, fx.expert, pol, dc)
+        row.passed = None
+    row.runtime_ms = (time.perf_counter() - t0) * 1000.0
+    return row
 
 
 def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
@@ -620,11 +606,8 @@ def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
                              beta=params.get("beta"), u=params.get("u"), eps=params.get("eps"),
                              seed=seed, passed=False, error=f"{type(exc).__name__}: {exc}")
 
-    if jobs == 1:
-        rows = [one(x) for x in enumerate(cells)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, enumerate(cells)))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        rows = list(pool.map(one, enumerate(cells)))
     summary = {
         "cells": len(rows),
         "passed": sum(r.passed is True for r in rows),

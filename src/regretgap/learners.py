@@ -81,19 +81,17 @@ class ExpertOracle:
 class TrainConfig:
     """Shared knobs for the OCO-based learners.
 
+    rounds and rule (see OCOConfig) set the online loop.
     density_mode 'exact' computes deviated state densities by forward DP;
     'mc' estimates them from mc_samples rollouts per deviation and then
     scores candidate iterates on a held-out fresh sample of the same size.
     """
 
     rounds: int = 500
-    oco: OCOConfig | None = None
+    rule: str = "eg"
     density_mode: str = "exact"
     mc_samples: int = 2000
     seed: int = 0
-
-    def oco_config(self) -> OCOConfig:
-        return self.oco if self.oco is not None else OCOConfig(rounds=self.rounds)
 
 
 @dataclass(frozen=True)
@@ -183,32 +181,26 @@ def j_bc(game: MarkovGame, demos: DemonstrationSet | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _greedy_joint_policy(game: MarkovGame, reward_sa: np.ndarray) -> np.ndarray:
-    """Per-step deterministic optimizer of a shared reward on the joint MDP."""
+def _joint_policy(game: MarkovGame, reward_sa: np.ndarray,
+                  temperature: float | None = None) -> np.ndarray:
+    """Per-step optimizer of a shared reward on the joint MDP: deterministic
+    argmax without a temperature, else entropy-smoothed, pi_h(a|s)
+    proportional to exp(Q_h / tau)."""
     H, S, A = game.horizon, game.n_states, game.n_joint_actions
     tables = np.zeros((H, S, A))
     v, states = np.zeros(S), np.arange(S)
     for h in reversed(range(H)):
         q = reward_sa + np.einsum("sax,x->sa", game.transition, v)
-        best = q.argmax(axis=1)
-        tables[h, states, best] = 1.0
-        v = q[states, best]
-    return tables
-
-
-def _soft_joint_policy(game: MarkovGame, reward_sa: np.ndarray, temperature: float) -> np.ndarray:
-    """Entropy-smoothed optimizer: pi_h(a|s) proportional to exp(Q_h / tau)."""
-    H, S, A = game.horizon, game.n_states, game.n_joint_actions
-    tau = float(temperature)
-    tables = np.empty((H, S, A))
-    v = np.zeros(S)
-    for h in reversed(range(H)):
-        q = reward_sa + np.einsum("sax,x->sa", game.transition, v)
-        z = q / tau
-        z -= z.max(axis=1, keepdims=True)
-        w = np.exp(z)
-        tables[h] = w / w.sum(axis=1, keepdims=True)
-        v = (tables[h] * q).sum(axis=1)
+        if temperature is None:
+            best = q.argmax(axis=1)
+            tables[h, states, best] = 1.0
+            v = q[states, best]
+        else:
+            z = q / float(temperature)
+            z -= z.max(axis=1, keepdims=True)
+            w = np.exp(z)
+            tables[h] = w / w.sum(axis=1, keepdims=True)
+            v = (tables[h] * q).sum(axis=1)
     return tables
 
 
@@ -280,10 +272,7 @@ def j_irl(game: MarkovGame, expert: MediatorPolicy, rounds: int,
                 f = np.clip(residual / (2.0 * regularizer_weight), -1.0, 1.0)
             else:
                 f = np.sign(residual)
-            if policy_player == "exact-br":
-                new_tables = _greedy_joint_policy(game, f)
-            else:
-                new_tables = _soft_joint_policy(game, f, temperature)
+            new_tables = _joint_policy(game, f, None if policy_player == "exact-br" else temperature)
             mix_sum += _forward(game, new_tables[None])[0][:, :, None] * new_tables
         cands = _stationarize(masses[:block], uniform_row)
         d = _forward(game, cands)[..., None]
@@ -333,7 +322,7 @@ def _train(game: MarkovGame, deviations: DeviationClass, config: TrainConfig,
         return [state_density(game, t, config.density_mode, config.mc_samples, rng) for t in tables]
 
     run = oco_run(lambda n, sigma: build_loss(densities(sigma, rng), labels, n),
-                  (game.n_states, game.n_joint_actions), config.oco_config(),
+                  (game.n_states, game.n_joint_actions), OCOConfig(config.rounds, config.rule),
                   init=None if init is None else init.table)
     best, final = run.best_round, float(run.losses[run.best_round])
     if config.density_mode == "mc":

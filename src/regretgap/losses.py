@@ -192,7 +192,6 @@ class OCOConfig:
     rounds: int
     rule: str = "eg"
     step_sizes: Callable[[int], float] | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.rounds < 1:

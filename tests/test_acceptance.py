@@ -10,8 +10,12 @@ factor-two bound is verified in tests/test_evaluate.py and the analysis
 lives in the repository notes.
 """
 
+import time
+
 import pytest
 
+from regretgap import harness
+from regretgap.fixtures import random_deviation_class, random_mg
 from regretgap.harness import (
     property_suite_results,
     run_suite,
@@ -68,6 +72,38 @@ def test_memoized_training_time_is_charged_to_rows():
     for suite in ("jbc-ub", "malice-ub", "blades-ub", "thm4-ce"):
         rows = run_suite(suite)
         assert all(row.runtime_ms >= rec["train_ms"] for row, rec in zip(rows, recs))
+
+
+def test_rows_add_up_to_no_more_than_the_wall_time_of_their_suite(monkeypatch):
+    """A cold property suite is charged its training once, through each
+    row's train_ms, and not again on the first row; a stub stands in for
+    the 50-game training."""
+    fx = random_mg(0, n_states=3, horizon=3, full_coverage_expert=True)
+    rec = {"game": fx.game, "phi": random_deviation_class(fx.game, per_agent=2, seed=0),
+           "H": 3, "m": 2, "beta": 0.5, "u": 1.0, "regret_expert": 0.0,
+           "blades_queries": 1, "train_ms": 20.0}
+    for algo in ("bc", "malice", "blades"):
+        rec.update({f"{algo}_eps": 0.0, f"{algo}_gap": 0.0, f"{algo}_regret": 0.0,
+                    f"{algo}_policy": fx.expert})
+    records = [dict(rec, index=k) for k in range(5)]
+    for suite in ("jbc-ub", "malice-ub", "blades-ub", "thm4-ce"):
+        cache = []
+
+        def stub():
+            if not cache:
+                time.sleep(0.1)     # the cold call trains the five games
+                cache.append(records)
+            return cache[0]
+
+        monkeypatch.setattr(harness, "property_suite_results", stub)
+        t0 = time.perf_counter()
+        rows = run_suite(suite)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        assert len(rows) == 5 and all(row.runtime_ms >= 20.0 for row in rows)
+        assert sum(row.runtime_ms for row in rows) <= wall_ms + 5.0
+    t0 = time.perf_counter()
+    rows = run_suite("nfg")
+    assert sum(row.runtime_ms for row in rows) <= (time.perf_counter() - t0) * 1000.0 + 5.0
 
 
 def test_criterion_06_trained_policies_remain_near_equilibrium():

@@ -228,10 +228,8 @@ def ref_j_irl(game, expert, rounds, policy_player="exact-br", temperature=1.0,
             f = np.clip(residual / (2.0 * regularizer_weight), -1.0, 1.0)
         else:
             f = np.sign(residual)
-        if policy_player == "exact-br":
-            new_tables = learners._greedy_joint_policy(game, f)
-        else:
-            new_tables = learners._soft_joint_policy(game, f, temperature)
+        tau = None if policy_player == "exact-br" else temperature
+        new_tables = learners._joint_policy(game, f, tau)
         mix_sum += occupancy_bundle(game, new_tables).per_step_joint
     return tuple(errors), best_round, len(errors), best_table
 

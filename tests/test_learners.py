@@ -15,11 +15,13 @@ from regretgap import (
     malice_train,
     moment_matching_error,
     occupancy_bundle,
+    oco_run,
     regret_gap,
     sample_demonstrations,
     value_gap,
     weighted_tv_loss,
 )
+from regretgap import learners
 from regretgap.fixtures import (
     alice_lb_game,
     coverage_lb_game,
@@ -205,6 +207,40 @@ class TestMaliceTrain:
         assert row.round == 1 and row.step_size > 0
         assert isinstance(row.achieving_deviation, str)
 
+    def test_rule_picks_the_update_of_the_configured_rounds(self, monkeypatch):
+        # the same loss builder run through oco_run with an explicit
+        # OCOConfig(rounds=10, rule="ftl") reproduces the trained run bitwise
+        fx = random_mg(13, n_states=3, horizon=3, full_coverage_expert=True)
+        phi = random_deviation_class(fx.game, per_agent=2, seed=3)
+        calls = []
+
+        def spy(builder, shape, config, init=None):
+            calls.append((builder, shape, init))
+            return oco_run(builder, shape, config, init)
+
+        monkeypatch.setattr(learners, "oco_run", spy)
+        res = malice_train(fx.game, fx.expert, phi, TrainConfig(rounds=10, rule="ftl"))
+        builder, shape, init = calls[0]
+        ref = oco_run(builder, shape, OCOConfig(rounds=10, rule="ftl"), init)
+        assert len(res.trace) == 10
+        assert [row.loss for row in res.trace] == ref.losses.tolist()
+        assert [row.step_size for row in res.trace] == ref.step_sizes.tolist()
+        assert res.best_round == ref.best_round + 1
+        np.testing.assert_array_equal(res.policy.table, ref.tables[ref.best_round])
+        eg = malice_train(fx.game, fx.expert, phi, TrainConfig(rounds=10))
+        assert not np.array_equal(eg.policy.table, res.policy.table)
+
+    def test_unknown_rule_rejected_before_any_round(self):
+        fx = random_mg(13, n_states=3, horizon=3, full_coverage_expert=True)
+        phi = random_deviation_class(fx.game, per_agent=2, seed=3)
+        oracle = ExpertOracle(fx.expert)
+        demos = sample_demonstrations(fx.game, fx.expert, 20, seed=0)
+        with pytest.raises(ValueError, match="newton"):
+            blades_train(fx.game, oracle, demos, phi, TrainConfig(rounds=10, rule="newton"))
+        assert oracle.query_count == 0      # every round queries the expert
+        with pytest.raises(ValueError, match="newton"):
+            malice_train(fx.game, fx.expert, phi, TrainConfig(rounds=10, rule="newton"))
+
     def test_mc_density_mode_runs(self):
         fx = random_mg(14, n_states=3, horizon=3, full_coverage_expert=True)
         phi = random_deviation_class(fx.game, per_agent=2, seed=4)
@@ -238,7 +274,7 @@ class TestBladesTrain:
         phi = fx.witness_class()
         oracle = ExpertOracle(fx.expert)
         demos = sample_demonstrations(fx.game, fx.expert, 50, seed=1)
-        cfg = TrainConfig(rounds=8, oco=OCOConfig(rounds=8, rule="ftl"))
+        cfg = TrainConfig(rounds=8, rule="ftl")
         res = blades_train(fx.game, oracle, demos, phi, cfg)
         gap = regret_gap(fx.game, fx.expert, res.policy, dc)
         assert res.query_count > 0
