@@ -23,7 +23,6 @@ from .games import (
     validate_game,
     validate_policy,
     with_common_reward,
-    with_rewards,
 )
 from .evaluate import (
     BestResponse,
@@ -53,7 +52,6 @@ from .losses import (
     CompositeMaxLoss,
     OCOConfig,
     OCORun,
-    WeightedTVLoss,
     blades_loss,
     malice_loss,
     oco_run,

@@ -190,12 +190,12 @@ def _cmd_train(args) -> int:
     if loaded is None:
         return EXIT_CHECK_FAILED
     game, expert = loaded
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.deviation_file:
         phi = _explicit_class(game, args.deviation_file)
     else:
         phi = DeviationClass.identities(game)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(rounds=args.rounds, seed=args.seed)
     summary: dict = {"algo": args.algo, "rounds": args.rounds, "seed": args.seed}
     trace = ()

@@ -249,6 +249,8 @@ class Deviation:
         Pairs not listed default to the identity.  States and actions may be
         given as names or indices.
         """
+        if not 0 <= agent < game.num_agents:
+            raise ValueError(f"deviation for agent {agent}, but the game has {game.num_agents} agents")
         n = game.action_counts[agent]
         table = np.tile(np.arange(n), (game.n_states, 1))
         for state, rec, played in entries:
@@ -543,14 +545,8 @@ def sample_demonstrations(game: MarkovGame, policy, n: int, seed) -> Demonstrati
     return DemonstrationSet(states, actions, seed=seed if isinstance(seed, int) else None)
 
 
-def with_rewards(game: MarkovGame, rewards, reward_bound: float | None = None) -> MarkovGame:
-    """Copy of the game with a different reward tensor (m, S, A)."""
-    r = np.asarray(rewards, dtype=np.float64)
-    bound = reward_bound if reward_bound is not None else max(game.reward_bound, float(np.abs(r).max(initial=0.0)))
-    return dataclasses.replace(game, rewards=r, reward_bound=bound)
-
-
 def with_common_reward(game: MarkovGame, reward_sa, reward_bound: float | None = None) -> MarkovGame:
     """Copy of the game where every agent shares the given (S, A) reward."""
-    r = np.asarray(reward_sa, dtype=np.float64)
-    return with_rewards(game, np.tile(r, (game.num_agents, 1, 1)), reward_bound)
+    r = np.tile(np.asarray(reward_sa, dtype=np.float64), (game.num_agents, 1, 1))
+    bound = reward_bound if reward_bound is not None else max(game.reward_bound, float(np.abs(r).max(initial=0.0)))
+    return dataclasses.replace(game, rewards=r, reward_bound=bound)

@@ -36,7 +36,6 @@ from .losses import (
     SUPPORT_TOL,
     CompositeMaxLoss,
     OCOConfig,
-    WeightedTVLoss,
     blades_components,
     malice_components,
     oco_run,
@@ -315,11 +314,12 @@ def _train(game: MarkovGame, deviations: DeviationClass, config: TrainConfig,
     index = _push_index(game, [dev for _, _, dev in pairs])
     rng = np.random.default_rng(config.seed)
 
-    def densities(sigma: np.ndarray, rng) -> list[np.ndarray]:
+    def densities(sigma: np.ndarray, rng) -> np.ndarray:
         tables = _push(index, sigma)
         if config.density_mode == "exact":
-            return list(_forward(game, tables).mean(axis=1))
-        return [state_density(game, t, config.density_mode, config.mc_samples, rng) for t in tables]
+            return _forward(game, tables).mean(axis=1)
+        return np.array([state_density(game, t, config.density_mode, config.mc_samples, rng)
+                         for t in tables])
 
     run = oco_run(lambda n, sigma: build_loss(densities(sigma, rng), labels, n),
                   (game.n_states, game.n_joint_actions), OCOConfig(config.rounds, config.rule),
@@ -387,11 +387,10 @@ def blades_train(game: MarkovGame, oracle: ExpertOracle, demos: DemonstrationSet
 
     def build_loss(dists, labels, n):
         if n is None:
-            return CompositeMaxLoss(tuple(WeightedTVLoss(weights=d, target=rows, label=lab)
-                                          for d, lab in zip(dists, labels)))
+            return CompositeMaxLoss(dists, rows)
         loss = blades_components(oracle, dists, labels=labels, round_index=n)
-        queried = np.max(dists, axis=0) > SUPPORT_TOL
-        rows[queried] = loss.components[0].target[queried]
+        queried = (dists > SUPPORT_TOL).any(axis=0)
+        rows[queried] = loss.target[queried]
         return loss
 
     res = _train(game, deviations, config, init, build_loss)

@@ -30,52 +30,27 @@ def tv_rows(target: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class WeightedTVLoss:
-    """State-weighted TV distance to fixed target rows.
-
-    ``weights`` is a distribution over states; evaluation is in [0, 1].
-    """
+class CompositeMaxLoss:
+    """Pointwise max of state-weighted TV distances, one per (agent, deviation):
+    ``weights`` is (K, S), one state distribution per component, and every
+    component is measured against the same (S, A) ``target`` rows."""
 
     weights: np.ndarray
     target: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if weights.ndim != 2 or weights.shape[0] == 0:
+            raise ValueError("composite loss needs at least one component")
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "target", np.asarray(self.target, dtype=np.float64))
 
-    def value(self, policy) -> float:
-        return float(self.weights @ tv_rows(self.target, _table(policy)))
-
-    def subgradient(self, policy) -> np.ndarray:
-        """0.5 * w(s) * sign(sigma(a|s) - target(a|s)), with sign(0) = 0.
-
-        sign(0) = 0 keeps exact fits as fixed points of gradient updates;
-        any value in [-w/2, w/2] would be a valid subgradient there.
-        """
-        return 0.5 * self.weights[:, None] * np.sign(_table(policy) - self.target)
-
-
-@dataclass(frozen=True)
-class CompositeMaxLoss:
-    """Pointwise max of weighted-TV components, one per (agent, deviation)."""
-
-    components: tuple[WeightedTVLoss, ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("composite loss needs at least one component")
-        object.__setattr__(self, "components", tuple(self.components))
-
     def component_values(self, policy) -> np.ndarray:
-        """Each component's value; components sharing one target object
-        share one per-state TV row."""
-        t = _table(policy)
-        tv: dict[int, np.ndarray] = {}
-        for c in self.components:
-            if id(c.target) not in tv:
-                tv[id(c.target)] = tv_rows(c.target, t)
-        return np.array([float(c.weights @ tv[id(c.target)]) for c in self.components])
+        """Each component's value from one shared TV row, one dot per weight
+        row: einsum and gemv round differently in the last bit, and the
+        achieving component is an argmax over these values."""
+        tv = tv_rows(self.target, _table(policy))
+        return np.array([float(w @ tv) for w in self.weights])
 
     def achieving(self, policy) -> int:
         """Index of the max component; the lowest index wins ties."""
@@ -84,8 +59,16 @@ class CompositeMaxLoss:
     def value(self, policy) -> float:
         return float(self.component_values(policy).max())
 
+    def component_subgradient(self, k: int, policy) -> np.ndarray:
+        """0.5 * w_k(s) * sign(sigma(a|s) - target(a|s)), with sign(0) = 0.
+
+        sign(0) = 0 keeps exact fits as fixed points of gradient updates;
+        any value in [-w/2, w/2] would be a valid subgradient there.
+        """
+        return 0.5 * self.weights[k][:, None] * np.sign(_table(policy) - self.target)
+
     def subgradient(self, policy) -> np.ndarray:
-        return self.components[self.achieving(policy)].subgradient(policy)
+        return self.component_subgradient(self.achieving(policy), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +111,7 @@ def malice_components(expert, d_expert: np.ndarray, deviated_dists: Sequence[np.
             f"deviated distribution {labels[k]!r} puts mass on states the expert never "
             f"visits (states {np.nonzero(bad[k])[0].tolist()}); importance weights undefined"
         )
-    return CompositeMaxLoss(tuple(WeightedTVLoss(weights=d, target=t, label=labels[k])
-                                  for k, d in enumerate(dists)))
+    return CompositeMaxLoss(dists, t)
 
 
 def malice_loss(expert, policy, d_expert: np.ndarray, deviated_dists: Sequence[np.ndarray],
@@ -146,17 +128,14 @@ def blades_components(oracle, deviated_dists: Sequence[np.ndarray],
     deviated distributions; rows of zero-mass states never matter and are
     left uniform.
     """
-    dists = [np.asarray(d, dtype=np.float64) for d in deviated_dists]
-    labels = _labels(labels, len(dists))
-    support = np.zeros(dists[0].shape[0], dtype=bool)
-    for d in dists:
-        support |= d > SUPPORT_TOL
+    dists = np.asarray(deviated_dists, dtype=np.float64)
+    _labels(labels, len(dists))
+    support = (dists > SUPPORT_TOL).any(axis=0)
     n_actions = oracle.n_joint_actions
     target = np.full((support.shape[0], n_actions), 1.0 / n_actions)
     for s in np.nonzero(support)[0]:
         target[s] = oracle.query(int(s), round_index=round_index)
-    comps = [WeightedTVLoss(weights=d, target=target, label=lab) for d, lab in zip(dists, labels)]
-    return CompositeMaxLoss(tuple(comps))
+    return CompositeMaxLoss(dists, target)
 
 
 def blades_loss(oracle, policy, deviated_dists: Sequence[np.ndarray],
@@ -169,40 +148,24 @@ def blades_loss(oracle, policy, deviated_dists: Sequence[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-def default_step_size(n_actions: int) -> Callable[[int], float]:
-    """Round-n learning rate sqrt(log(A) / n) for exponentiated gradient."""
-    log_a = np.log(max(n_actions, 2))
-
-    def eta(n: int) -> float:
-        return float(np.sqrt(log_a / n))
-
-    return eta
-
-
 @dataclass(frozen=True)
 class OCOConfig:
-    """Rounds, update rule, and rate schedule for the online loop.
+    """Rounds and update rule for the online loop.
 
     rule: 'eg' exponentiated gradient (default; iterates stay strictly
     inside the simplex), 'pgd' projected subgradient descent (cross-check),
-    or 'ftl' follow-the-leader via exact refit of aggregated targets (valid
-    for losses whose components share per-state targets).
+    or 'ftl' follow-the-leader via exact refit of aggregated targets.
+    Round n steps with sqrt(log(A) / n).
     """
 
     rounds: int
     rule: str = "eg"
-    step_sizes: Callable[[int], float] | None = None
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("need at least one round")
         if self.rule not in ("eg", "pgd", "ftl"):
             raise ValueError(f"unknown OCO rule {self.rule!r}")
-
-    def eta(self, n_actions: int) -> Callable[[int], float]:
-        if self.step_sizes is not None:
-            return self.step_sizes
-        return default_step_size(n_actions)
 
 
 def project_rows_to_simplex(x: np.ndarray) -> np.ndarray:
@@ -240,7 +203,7 @@ def oco_run(loss_builder: Callable[[int, np.ndarray], CompositeMaxLoss],
     """
     S, A = shape
     sigma = np.full((S, A), 1.0 / A) if init is None else np.asarray(init, dtype=np.float64).copy()
-    eta = config.eta(A)
+    log_a = np.log(max(A, 2))
     N = config.rounds
     tables = np.empty((N, S, A))
     losses = np.empty(N)
@@ -255,10 +218,10 @@ def oco_run(loss_builder: Callable[[int, np.ndarray], CompositeMaxLoss],
         k = int(np.argmax(vals))
         achieving[n - 1] = k
         losses[n - 1] = float(vals[k])
-        step = eta(n)
+        step = float(np.sqrt(log_a / n))
         steps[n - 1] = step
         if config.rule in ("eg", "pgd"):
-            g = loss.components[k].subgradient(sigma)
+            g = loss.component_subgradient(k, sigma)
             if config.rule == "eg":
                 w = sigma * np.exp(-step * g)
                 new = w / w.sum(axis=1, keepdims=True)
@@ -267,12 +230,12 @@ def oco_run(loss_builder: Callable[[int, np.ndarray], CompositeMaxLoss],
             untouched = (g == 0).all(axis=1)
             new[untouched] = sigma[untouched]  # zero subgradient rows stay bitwise fixed
             sigma = new
-        else:  # ftl: refit every state seen so far to its (shared) target row
-            for comp in loss.components:
-                agg_weight += comp.weights
-                agg_target = np.where(
-                    (comp.weights > SUPPORT_TOL)[:, None], comp.target, agg_target
-                )
+        else:  # ftl: refit every state seen so far to the target row
+            for w in loss.weights:  # row by row: a sum(axis=0) may round differently
+                agg_weight += w
+            agg_target = np.where(
+                (loss.weights > SUPPORT_TOL).any(axis=0)[:, None], loss.target, agg_target
+            )
             seen = agg_weight > SUPPORT_TOL
             sigma = sigma.copy()
             sigma[seen] = agg_target[seen]

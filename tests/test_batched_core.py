@@ -47,7 +47,7 @@ from regretgap.fixtures import (alice_lb_game, coverage_lb_game, fig1_game, rand
                                 random_mg)
 from regretgap.games import _push, _push_index, _pushforward, policy_tables
 from regretgap.harness import property_suite_games
-from regretgap.losses import SUPPORT_TOL
+from regretgap.losses import SUPPORT_TOL, _table, tv_rows
 
 TOL = 1e-12
 
@@ -192,7 +192,7 @@ def ref_forward(game, tables):
 
 def ref_component_values(self, policy):
     """Drop-in for CompositeMaxLoss.component_values: one TV row per component."""
-    return np.array([c.value(policy) for c in self.components])
+    return np.array([float(w @ tv_rows(self.target, _table(policy))) for w in self.weights])
 
 
 def ref_stationarize(per_step_joint, fallback_row):

@@ -119,6 +119,17 @@ class TestEval:
         data = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert data["regret"]["learner"] == 0.0
 
+    @pytest.mark.parametrize("agent", [5, -1])
+    def test_deviation_file_naming_a_missing_agent_exit_2(self, fig1_files, capsys, agent):
+        dev = fig1_files / "dev.json"
+        dev.write_text(json.dumps({"agent": agent, "entries": []}))
+        rc = main(["eval", "--game", str(fig1_files / "game.json"),
+                   "--expert", str(fig1_files / "expert.json"),
+                   "--learner", str(fig1_files / "learner.json"),
+                   "--deviations", "file", "--deviation-file", str(dev)])
+        assert rc == EXIT_USAGE
+        assert f"agent {agent}," in capsys.readouterr().err
+
     def test_invalid_game_fails_validation(self, tmp_path, capsys):
         main(["gen", "--name", "fig1", "--horizon", "4", "--out", str(tmp_path)])
         data = io.load_json(tmp_path / "game.json")
@@ -155,6 +166,18 @@ class TestTrain:
                    "--deviation-file", str(tmp_path / "deviation_0.json"),
                    "--rounds", "5", "--out", str(tmp_path / "run")])
         assert rc == EXIT_ASSUMPTION
+
+    @pytest.mark.parametrize("agent", [5, -1])
+    def test_deviation_file_naming_a_missing_agent_exit_2(self, tmp_path, capsys, agent):
+        main(["gen", "--name", "fig1", "--horizon", "4", "--out", str(tmp_path)])
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps({"agent": agent, "entries": []}))
+        rc = main(["train", "--algo", "blades", "--game", str(tmp_path / "game.json"),
+                   "--expert", str(tmp_path / "expert.json"),
+                   "--deviation-file", str(dev), "--rounds", "5", "--out", str(tmp_path / "run")])
+        assert rc == EXIT_USAGE
+        assert f"agent {agent}," in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # validated before the output directory
 
     @pytest.mark.parametrize("broken", ["game", "expert"])
     def test_invalid_inputs_fail_validation(self, tmp_path, capsys, broken):
@@ -318,6 +341,14 @@ class TestSweep:
         assert failed["H"] == "3"
         assert failed["error"]
         assert all(r["error"] == "" for r in rows if r["pass"] == "True")
+
+    def test_error_cells_keep_their_runtime(self):
+        # MALICE needs expert coverage that fig1 lacks, so both cells raise
+        # after building the fixture and measuring its gap
+        rows, summary = run_sweep({"base_seed": 3, "grid": {"H": [4, 6]}, "fixture": "fig1",
+                                   "algo": "malice", "rounds": 5})
+        assert summary["failed"] == 2
+        assert all(r.error and r.runtime_ms > 0 for r in rows)
 
     def test_trained_cells_leave_expected_and_pass_empty(self, tmp_path):
         # no closed form pins a trained policy's regret gap, so the cell

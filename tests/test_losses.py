@@ -12,7 +12,6 @@ from regretgap import (
     ExpertOracle,
     MediatorPolicy,
     OCOConfig,
-    WeightedTVLoss,
     blades_loss,
     induced_tables,
     malice_loss,
@@ -180,16 +179,14 @@ class TestSubgradient:
     def test_zero_at_target(self):
         rng = np.random.default_rng(1)
         target = rand_simplex(rng, (3, 4))
-        loss = WeightedTVLoss(weights=np.full(3, 1 / 3), target=target)
+        loss = CompositeMaxLoss(np.full((1, 3), 1 / 3), target)
         np.testing.assert_array_equal(loss.subgradient(target), np.zeros((3, 4)))
 
     def test_convexity_inequality_at_probes(self):
         # L(y) >= L(x) + <g, y - x> at 20 random probe pairs
         rng = np.random.default_rng(2)
         target = rand_simplex(rng, (1, 2))
-        loss = CompositeMaxLoss((
-            WeightedTVLoss(weights=np.ones(1), target=target, label="a"),
-        ))
+        loss = CompositeMaxLoss(np.ones((1, 1)), target)
         for _ in range(20):
             x = rand_simplex(rng, (1, 2))
             y = rand_simplex(rng, (1, 2))
@@ -201,29 +198,32 @@ class TestSubgradient:
         target = rand_simplex(rng, (3, 4))
         x = rand_simplex(rng, (3, 4))
         w = rng.dirichlet(np.ones(3))
-        g_full = WeightedTVLoss(weights=w, target=target).subgradient(x)
-        g_half = WeightedTVLoss(weights=0.5 * w, target=target).subgradient(x)
+        g_full = CompositeMaxLoss(w[None], target).subgradient(x)
+        g_half = CompositeMaxLoss(0.5 * w[None], target).subgradient(x)
         np.testing.assert_allclose(g_half, 0.5 * g_full, atol=1e-15)
 
     def test_achieving_component_tie_break_lowest(self):
         target = np.array([[1.0, 0.0]])
-        w = np.ones(1)
-        a = WeightedTVLoss(weights=w, target=target, label="a")
-        b = WeightedTVLoss(weights=w, target=target, label="b")
-        comp = CompositeMaxLoss((a, b))
+        comp = CompositeMaxLoss(np.ones((2, 1)), target)
         x = np.array([[0.25, 0.75]])
         assert comp.achieving(x) == 0
 
-    def test_component_values_with_shared_and_distinct_targets(self):
-        # components sharing one target object share one TV row; each value
-        # must still equal that component's own value bitwise
-        rng = np.random.default_rng(3)
-        t1, t2 = rand_simplex(rng, (5, 3)), rand_simplex(rng, (5, 3))
-        comps = tuple(WeightedTVLoss(weights=rng.dirichlet(np.ones(5)), target=t, label=str(k))
-                      for k, t in enumerate((t1, t2, t1, t1.copy(), t2)))
-        x = rand_simplex(rng, (5, 3))
-        vals = CompositeMaxLoss(comps).component_values(x)
-        assert vals.tolist() == [c.value(x) for c in comps]
+    @pytest.mark.parametrize("S", [3, 8, 64, 200])
+    @pytest.mark.parametrize("K", [1, 8, 64])
+    def test_component_values_are_per_row_dots(self, K, S):
+        # the components share one TV row, and each value must equal its own
+        # single-distribution loss bitwise: einsum or a matrix-vector product
+        # in place of the per-row dot differs in the last bit on most draws
+        rng = np.random.default_rng(1000 * K + S)
+        target, x = rand_simplex(rng, (S, 3)), rand_simplex(rng, (S, 3))
+        W = rng.dirichlet(np.ones(S), size=K)
+        vals = CompositeMaxLoss(W, target).component_values(x)
+        assert vals.tolist() == [weighted_tv_loss(target, x, w) for w in W]
+
+    @pytest.mark.parametrize("weights", [(), np.ones(3), np.ones((0, 3)), np.ones((1, 1, 3))])
+    def test_empty_or_non_matrix_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="at least one component"):
+            CompositeMaxLoss(weights, np.full((3, 2), 0.5))
 
 
 class TestConvexityProperties:
@@ -233,10 +233,7 @@ class TestConvexityProperties:
         rng = np.random.default_rng(seed)
         target = rand_simplex(rng, (2, 3))
         weights = rng.dirichlet(np.ones(2))
-        loss = CompositeMaxLoss((
-            WeightedTVLoss(weights=weights, target=target, label="t"),
-            WeightedTVLoss(weights=weights[::-1].copy(), target=target[::-1].copy(), label="u"),
-        ))
+        loss = CompositeMaxLoss(np.stack([weights, weights[::-1]]), target)
         x = rand_simplex(rng, (2, 3))
         y = rand_simplex(rng, (2, 3))
         mid = 0.5 * (x + y)
@@ -248,9 +245,7 @@ class TestOCORun:
         target = np.full((2, 3), 1 / 3)
 
         def builder(n, sigma):
-            return CompositeMaxLoss((
-                WeightedTVLoss(weights=np.full(2, 0.5), target=sigma.copy()),
-            ))
+            return CompositeMaxLoss(np.full((1, 2), 0.5), sigma.copy())
 
         run = oco_run(builder, (2, 3), OCOConfig(rounds=50))
         np.testing.assert_allclose(run.tables[0], target)
@@ -261,7 +256,7 @@ class TestOCORun:
         rng = np.random.default_rng(9)
         target = rand_simplex(rng, (3, 4))
         w = np.full(3, 1 / 3)
-        loss = CompositeMaxLoss((WeightedTVLoss(weights=w, target=target),))
+        loss = CompositeMaxLoss(w[None], target)
 
         run = oco_run(lambda n, s: loss, (3, 4), OCOConfig(rounds=2000))
         assert run.losses.mean() <= 0.05
@@ -273,9 +268,7 @@ class TestOCORun:
         targets = [rand_simplex(rng, (2, 4)) for _ in range(3)]
 
         def builder(n, sigma):
-            return CompositeMaxLoss((
-                WeightedTVLoss(weights=np.array([0.7, 0.3]), target=targets[n % 3]),
-            ))
+            return CompositeMaxLoss(np.array([[0.7, 0.3]]), targets[n % 3])
 
         run = oco_run(builder, (2, 4), OCOConfig(rounds=200, rule=rule))
         np.testing.assert_allclose(run.tables.sum(axis=2), 1.0, atol=1e-12)
@@ -289,7 +282,7 @@ class TestOCORun:
 
         def builder(n, sigma):
             w = w1 if n == 1 else w2
-            return CompositeMaxLoss((WeightedTVLoss(weights=w, target=target),))
+            return CompositeMaxLoss(w[None], target)
 
         run = oco_run(builder, (2, 3), OCOConfig(rounds=3, rule="ftl"))
         # after round 1 state 0 is fit; after round 2 both are
@@ -305,9 +298,7 @@ class TestOCORun:
         targets[1][0, 1] = 1.0
 
         def builder(n, sigma):
-            return CompositeMaxLoss((
-                WeightedTVLoss(weights=np.ones(1), target=targets[(n - 1) % 2]),
-            ))
+            return CompositeMaxLoss(np.ones((1, 1)), targets[(n - 1) % 2])
 
         run = oco_run(builder, (1, A), OCOConfig(rounds=N, rule="eg"))
         # best fixed policy puts all mass on the two target actions: loss 1/2
