@@ -17,7 +17,6 @@ from regretgap import (
     induced_joint_policy,
     occupancy_bundle,
     sample_demonstrations,
-    sample_trajectory,
     validate_game,
     values,
 )
@@ -65,9 +64,9 @@ occ = occupancy_bundle(game, sigma)
 print("average state distribution:", dict(zip(game.states, occ.avg_state.round(3))))
 
 # --- trajectories are reproducible by seed --------------------------------
-traj = sample_trajectory(game, sigma, seed=7)
+traj = sample_demonstrations(game, sigma, n=1, seed=7)   # one row: one trajectory
 print("\nsampled trajectory (state, joint action):",
-      [(game.states[s], game.joint_tuple(a)) for s, a in zip(traj.states, traj.actions)])
+      [(game.states[s], game.joint_tuple(a)) for s, a in zip(traj.states[0], traj.actions[0])])
 
 demos = sample_demonstrations(game, sigma, n=5000, seed=7)
 freq = demos.state_counts(game) / demos.states.size

@@ -15,11 +15,9 @@ from .games import (
     DeviationClass,
     MarkovGame,
     MediatorPolicy,
-    Trajectory,
     induced_joint_policy,
     induced_tables,
     sample_demonstrations,
-    sample_trajectory,
     validate_game,
     validate_policy,
     with_common_reward,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 check failure, 2 usage or config error,
 3 assumption violation (an importance weight needed expert density that is
-zero).
+zero; a sweep exits 3 when such cells are its only failures).
 """
 
 from __future__ import annotations
@@ -158,6 +158,8 @@ def _explicit_class(game, paths) -> DeviationClass:
 
 
 def _cmd_eval(args) -> int:
+    if args.deviation_file and args.deviations != "file":
+        raise ValueError("--deviation-file is read only with --deviations file")
     loaded = _load_inputs(args, "expert", "learner")
     if loaded is None:
         return EXIT_CHECK_FAILED
@@ -261,7 +263,9 @@ def _cmd_sweep(args) -> int:
     summary_path = Path(out).with_suffix(".summary.json")
     io.save_json(summary, summary_path)
     print(json.dumps(summary))
-    return EXIT_OK if summary["failed"] == 0 else EXIT_CHECK_FAILED
+    if summary["failed"] > summary["assumption_violations"]:
+        return EXIT_CHECK_FAILED
+    return EXIT_ASSUMPTION if summary["assumption_violations"] else EXIT_OK
 
 
 def main(argv=None) -> int:

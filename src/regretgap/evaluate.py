@@ -34,11 +34,11 @@ from .games import (
     _policy_array,
     _push,
     _push_index,
-    _pushforward,
-    _sample_batch,
+    _shift,
     induced_tables,
     policy_tables,
     reachable_steps,      # re-exported: evaluate.reachable_steps stays public
+    sample_demonstrations,
 )
 
 
@@ -224,9 +224,7 @@ def state_density(game: MarkovGame, policy, mode: str = "exact",
     if mode == "exact":
         return occupancy_bundle(game, policy).avg_state
     if mode == "mc":
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        states, _ = _sample_batch(game, policy_tables(game, policy), n_samples, rng)
-        counts = np.bincount(states.ravel(), minlength=game.n_states)
+        counts = sample_demonstrations(game, policy, n_samples, rng).state_counts(game)
         return counts / counts.sum()
     raise ValueError(f"unknown density mode {mode!r}")
 
@@ -298,7 +296,7 @@ def enumerate_stationary_best_response(game: MarkovGame, sigma: MediatorPolicy, 
     it can only be lower.
     """
     tables = _stationary_maps(game, agent, cap)           # candidate maps
-    dev_tables = _pushforward(game, sigma.table, agent, tables)
+    dev_tables = _push(_shift(game, agent, tables), sigma.table)
     J = _values(game, dev_tables, np.full(len(tables), agent))
     k_id = int(np.nonzero((tables == np.arange(game.action_counts[agent])).all(axis=(1, 2)))[0][0])
     k_best = int(np.argmax(J))

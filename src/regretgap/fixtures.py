@@ -165,7 +165,7 @@ def coverage_lb_game(horizon: int = 20, u: float = 10, beta: float = 0.05,
             "s0": {("a1", "a1"): 1 - 2 * beta, ("a2", "a1"): 2 * beta},
             "s1": {("a2", "a1"): 0.5, ("a3", "a3"): 0.5},
         },
-        default=_one_hot(game.n_joint_actions, 0),
+        default=np.eye(game.n_joint_actions)[0],
     )
     learner = MediatorPolicy.from_rows(
         game,
@@ -173,7 +173,7 @@ def coverage_lb_game(horizon: int = 20, u: float = 10, beta: float = 0.05,
             "s0": {("a1", "a1"): 1 - 2 * beta, ("a2", "a1"): 2 * beta},
             "s1": {("a2", "a1"): 0.5, ("a1", "a1"): carve, ("a3", "a3"): 0.5 - carve},
         },
-        default=_one_hot(game.n_joint_actions, 0),
+        default=np.eye(game.n_joint_actions)[0],
     )
     witness = Deviation.from_entries(game, 0, [("s0", "a1", "a2"), ("s1", "a1", "a2")],
                                      label="double-swap")
@@ -224,11 +224,11 @@ def alice_lb_game(horizon: int = 20, u: float = 6, beta: float = 0.1,
     game = _fork_chain_game(H, (2,), gates=(0,), rewarded=range(1, 2 * u_floor - 1, 2),
                             num_agents=1)
     expert = MediatorPolicy.from_rows(
-        game, {"s0": {("a1",): 1 - beta, ("a2",): beta}}, default=_one_hot(2, 0)
+        game, {"s0": {("a1",): 1 - beta, ("a2",): beta}}, default=np.eye(2)[0]
     )
     learner = MediatorPolicy.from_rows(
         game, {"s0": {("a1",): 1 - beta - H * eps, ("a2",): beta + H * eps}},
-        default=_one_hot(2, 0),
+        default=np.eye(2)[0],
     )
     witness = Deviation.from_entries(game, 0, [("s0", "a2", "a1")], label="back-up")
     fixture = Fixture(
@@ -246,12 +246,6 @@ def alice_lb_game(horizon: int = 20, u: float = 6, beta: float = 0.1,
         params={"H": H, "u": u, "u_floor": u_floor, "beta": beta, "eps": eps},
     )
     return _check(fixture)
-
-
-def _one_hot(n: int, idx: int) -> np.ndarray:
-    row = np.zeros(n)
-    row[idx] = 1.0
-    return row
 
 
 # The parameterized constructions by name; their signatures hold the
@@ -346,20 +340,17 @@ MAX_JOINT_ACTIONS = 64
 def random_mg(seed, n_states: int = 4, horizon: int = 4,
               action_counts: tuple[int, ...] = (2, 2),
               common_payoff: bool = False, full_coverage_expert: bool = False,
-              single_agent: bool = False, layered: bool = False,
-              layer_sizes: tuple[int, ...] | None = None) -> Fixture:
+              layered: bool = False, layer_sizes: tuple[int, ...] | None = None) -> Fixture:
     """Validated random game plus random expert/learner policies.
 
     Flags: common_payoff shares one reward tensor across agents;
     full_coverage_expert mixes the expert with uniform at rate 0.1 and
-    asserts positive coverage; single_agent collapses to one agent;
-    layered builds one fresh batch of states per step so every state is
-    reachable at exactly one step.  Expected values are left empty: random
-    fixtures are property-suite substrate, not closed-form witnesses.
+    asserts positive coverage; layered builds one fresh batch of states
+    per step so every state is reachable at exactly one step.  Expected
+    values are left empty: random fixtures are property-suite substrate,
+    not closed-form witnesses.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if single_agent:
-        action_counts = (int(action_counts[0]),)
+    rng = np.random.default_rng(seed)
     m = len(action_counts)
     A = int(np.prod(action_counts))
     if n_states > MAX_STATES or A > MAX_JOINT_ACTIONS:
@@ -421,7 +412,7 @@ def random_mg(seed, n_states: int = 4, horizon: int = 4,
 
 def random_deviation_class(game: MarkovGame, per_agent: int, seed) -> DeviationClass:
     """Explicit class of random stationary maps, identity always included."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     cols = []
     for i in range(game.num_agents):
         n = game.action_counts[i]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -381,7 +381,9 @@ def reachable_steps(game: MarkovGame) -> np.ndarray:
 
 
 def _shift(game: MarkovGame, agent: int, maps: np.ndarray) -> np.ndarray:
-    """Joint-index shift of each (..., s, a) cell under maps (..., S, n_i)."""
+    """Joint-index shift of each (..., s, a) cell under maps (..., S, n_i):
+    the mass of (s, a) with own component j moves to the joint action that
+    keeps everyone else's component and replaces j by maps[s, j]."""
     comp = game.agent_component(agent)
     return (maps[..., comp] - comp) * game.component_stride(agent)
 
@@ -391,17 +393,6 @@ def _push(shift: np.ndarray, table: np.ndarray) -> np.ndarray:
     flat = (shift + np.arange(shift.size).reshape(shift.shape)).ravel()
     weights = np.broadcast_to(table, shift.shape).ravel()
     return np.bincount(flat, weights=weights, minlength=shift.size).reshape(shift.shape)
-
-
-def _pushforward(game: MarkovGame, table: np.ndarray, agent: int, dev_sn: np.ndarray) -> np.ndarray:
-    """Joint behavior of the (S, A) table when ``agent`` filters through dev_sn.
-
-    For joint action a with own component j = comp(a), the mass of (s, a)
-    moves to the joint action that keeps everyone else's component and
-    replaces j by dev_sn[s, j].  An (S, n_i) map gives an (S, A) table; a
-    (K, S, n_i) stack of maps gives the K pushed tables as (K, S, A).
-    """
-    return _push(_shift(game, agent, dev_sn), table)
 
 
 def _push_index(game: MarkovGame, deviations: Sequence[Deviation], steps: bool = False) -> np.ndarray:
@@ -429,7 +420,7 @@ def induced_joint_policy(game: MarkovGame, sigma: MediatorPolicy, deviation: Dev
         raise ValueError("time-indexed deviation: use induced_tables instead")
     if sigma.table.shape != (game.n_states, game.n_joint_actions):
         raise ValueError("policy shape does not match game")
-    return MediatorPolicy(_pushforward(game, sigma.table, deviation.agent, deviation.table))
+    return MediatorPolicy(_push(_shift(game, deviation.agent, deviation.table), sigma.table))
 
 
 def _policy_array(game: MarkovGame, policy) -> np.ndarray:
@@ -463,27 +454,11 @@ def induced_tables(game: MarkovGame, policy, deviation: Deviation) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One rollout: (state, joint action) index pairs for each of H steps."""
-
-    states: np.ndarray
-    actions: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _frozen_array(self.states, dtype=np.int64))
-        object.__setattr__(self, "actions", _frozen_array(self.actions, dtype=np.int64))
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-
-@dataclass(frozen=True)
 class DemonstrationSet:
     """Trajectories sampled i.i.d. from a policy, stored as (n, H) index arrays."""
 
     states: np.ndarray
     actions: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "states", _frozen_array(self.states, dtype=np.int64))
@@ -491,10 +466,6 @@ class DemonstrationSet:
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    def __iter__(self) -> Iterator[Trajectory]:
-        for k in range(len(self)):
-            yield Trajectory(self.states[k], self.actions[k])
 
     def state_action_counts(self, game: MarkovGame) -> np.ndarray:
         """(S, A) visit counts over all steps of all trajectories."""
@@ -506,8 +477,13 @@ class DemonstrationSet:
         return np.bincount(self.states.ravel(), minlength=game.n_states).astype(np.float64)
 
 
-def _sample_batch(game: MarkovGame, tables: np.ndarray, n: int, rng: np.random.Generator):
-    """Vectorized rollout of n trajectories; returns (n, H) state/action indices."""
+def sample_demonstrations(game: MarkovGame, policy, n: int, seed) -> DemonstrationSet:
+    """Roll out n i.i.d. length-H trajectories of the policy, vectorized over
+    the n; reproducible by seed (an int, a SeedSequence or a Generator)."""
+    if n < 1:
+        raise ValueError("need at least one demonstration")
+    rng = np.random.default_rng(seed)
+    tables = policy_tables(game, policy)
     H = game.horizon
     states = np.empty((n, H), dtype=np.int64)
     actions = np.empty((n, H), dtype=np.int64)
@@ -526,23 +502,7 @@ def _sample_batch(game: MarkovGame, tables: np.ndarray, n: int, rng: np.random.G
             u = rng.random(n)
             s = (trans_cdf[s, a] < u[:, None]).sum(axis=1)
             s = np.minimum(s, game.n_states - 1)
-    return states, actions
-
-
-def sample_trajectory(game: MarkovGame, policy, seed) -> Trajectory:
-    """Roll out one length-H trajectory, deterministic for a fixed seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    states, actions = _sample_batch(game, policy_tables(game, policy), 1, rng)
-    return Trajectory(states[0], actions[0])
-
-
-def sample_demonstrations(game: MarkovGame, policy, n: int, seed) -> DemonstrationSet:
-    """Sample n i.i.d. trajectories from the policy; reproducible by seed."""
-    if n < 1:
-        raise ValueError("need at least one demonstration")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    states, actions = _sample_batch(game, policy_tables(game, policy), n, rng)
-    return DemonstrationSet(states, actions, seed=seed if isinstance(seed, int) else None)
+    return DemonstrationSet(states, actions)
 
 
 def with_common_reward(game: MarkovGame, reward_sa, reward_bound: float | None = None) -> MarkovGame:

@@ -45,6 +45,7 @@ from .fixtures import (
     random_mg,
 )
 from .games import (
+    CoverageError,
     DeviationClass,
     induced_tables,
     sample_demonstrations,
@@ -272,7 +273,7 @@ def suite_single_agent_eq(tol: float = 1e-8, count: int = 100) -> list[ReportRow
     for k in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(k,)))
         fx = random_mg(rng, n_states=int(rng.integers(2, 9)), horizon=int(rng.integers(2, 7)),
-                       action_counts=(int(rng.integers(2, 5)),), single_agent=True)
+                       action_counts=(int(rng.integers(2, 5)),))
         dc = DeviationClass.complete(1)
         rg_ = regret_gap(fx.game, fx.expert, fx.learner, dc)
         vg = value_gap(fx.game, fx.expert, fx.learner)
@@ -580,7 +581,9 @@ def _sweep_cell(fixture: str, params: dict, algo: str, seed: int, rounds: int) -
 def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
     """Grid sweep over fixture parameters; cells are independent and run
     deterministically regardless of the parallelism degree.  A cell that
-    raises becomes a failed row carrying the exception in ``error``."""
+    raises becomes a failed row carrying the exception in ``error``; cells
+    whose learner assumption failed (``CoverageError``) are also counted in
+    ``assumption_violations``, so the CLI can exit as ``train`` does."""
     fixture = config.get("fixture", "fig1")
     if fixture not in FIXTURES:
         raise KeyError(f"unknown sweep fixture {fixture!r}")
@@ -600,22 +603,25 @@ def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
         params = dict(zip(keys, cell))
         seed = int(np.random.SeedSequence(entropy=base_seed, spawn_key=(idx,)).generate_state(1)[0])
         t0 = time.perf_counter()
+        violation = False
         try:
             row = _sweep_cell(fixture, params, algo, seed, rounds)
         except Exception as exc:  # partial failures are recorded per row
             row = ReportRow(suite="sweep", fixture=fixture, algo=algo, H=params.get("H"),
                             beta=params.get("beta"), u=params.get("u"), eps=params.get("eps"),
                             seed=seed, passed=False, error=f"{type(exc).__name__}: {exc}")
+            violation = isinstance(exc, CoverageError)
         row.runtime_ms = (time.perf_counter() - t0) * 1000.0  # error rows keep the work done
-        return row
+        return row, violation
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(one, enumerate(cells)))
+        rows, violations = zip(*pool.map(one, enumerate(cells)))
     summary = {
         "cells": len(rows),
         "passed": sum(r.passed is True for r in rows),
         "failed": sum(r.passed is False for r in rows),
+        "assumption_violations": sum(violations),
         "fixture": fixture,
         "algo": algo,
     }
-    return rows, summary
+    return list(rows), summary

@@ -45,7 +45,7 @@ from regretgap import (
 from regretgap import evaluate, games, learners
 from regretgap.fixtures import (alice_lb_game, coverage_lb_game, fig1_game, random_deviation_class,
                                 random_mg)
-from regretgap.games import _push, _push_index, _pushforward, policy_tables
+from regretgap.games import _push, _push_index, _shift, policy_tables
 from regretgap.harness import property_suite_games
 from regretgap.losses import SUPPORT_TOL, _table, tv_rows
 
@@ -61,8 +61,8 @@ def ref_induced(game, policy, dev):
     tables = policy_tables(game, policy)
     out = np.empty_like(tables)
     for h in range(game.horizon):
-        out[h] = _pushforward(game, tables[h], dev.agent,
-                              dev.table[h] if dev.time_indexed else dev.table)
+        out[h] = _push(_shift(game, dev.agent, dev.table[h] if dev.time_indexed else dev.table),
+                       tables[h])
     return out
 
 

@@ -119,6 +119,18 @@ class TestEval:
         data = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert data["regret"]["learner"] == 0.0
 
+    @pytest.mark.parametrize("mode", [[], ["--deviations", "complete"]])
+    def test_deviation_file_without_file_mode_exit_2(self, fig1_files, capsys, mode):
+        # a deviation file is never silently dropped in favour of COMPLETE
+        rc = main(["eval", "--game", str(fig1_files / "game.json"),
+                   "--expert", str(fig1_files / "expert.json"),
+                   "--learner", str(fig1_files / "learner.json"), *mode,
+                   "--deviation-file", str(fig1_files / "deviation_0.json")])
+        assert rc == EXIT_USAGE
+        out = capsys.readouterr()
+        assert "--deviation-file" in out.err and "--deviations file" in out.err
+        assert out.out == ""
+
     @pytest.mark.parametrize("agent", [5, -1])
     def test_deviation_file_naming_a_missing_agent_exit_2(self, fig1_files, capsys, agent):
         dev = fig1_files / "dev.json"
@@ -333,6 +345,7 @@ class TestSweep:
         cfg_path.write_text(json.dumps(config))
         rc = main(["sweep", "--config", str(cfg_path)])
         assert rc == EXIT_CHECK_FAILED
+        assert io.load_json(tmp_path / "s.summary.json")["assumption_violations"] == 0
         rows = read_csv(tmp_path / "s.csv")
         assert len(rows) == 2
         assert {r["pass"] for r in rows} == {"True", "False"}
@@ -349,6 +362,22 @@ class TestSweep:
                                    "algo": "malice", "rounds": 5})
         assert summary["failed"] == 2
         assert all(r.error and r.runtime_ms > 0 for r in rows)
+
+    def test_assumption_violations_exit_3_unless_another_cell_failed(self, tmp_path):
+        # MALICE raises CoverageError on every fig1 cell, as train exits 3;
+        # H = 2 is below fig1's floor, a ValueError that is a failed check
+        cfg_path = tmp_path / "cfg.json"
+        for grid, failed, violations, code in (([4, 6], 2, 2, EXIT_ASSUMPTION),
+                                               ([2, 4], 2, 1, EXIT_CHECK_FAILED)):
+            out = tmp_path / f"s{grid[0]}.csv"
+            cfg_path.write_text(json.dumps({"grid": {"H": grid}, "fixture": "fig1",
+                                            "algo": "malice", "rounds": 5, "out": str(out)}))
+            assert main(["sweep", "--config", str(cfg_path)]) == code
+            summary = io.load_json(out.with_suffix(".summary.json"))
+            assert (summary["failed"], summary["assumption_violations"]) == (failed, violations)
+            rows = read_csv(out)
+            assert {r["pass"] for r in rows} == {"False"}
+            assert sum(r["error"].startswith("CoverageError") for r in rows) == violations
 
     def test_trained_cells_leave_expected_and_pass_empty(self, tmp_path):
         # no closed form pins a trained policy's regret gap, so the cell

@@ -208,7 +208,7 @@ class TestStructuralConstants:
 
     def test_complete_u_matches_full_enumeration(self):
         # 2 states, 2 actions, H=2: enumerate all 2^(2*2) stationary maps
-        fx = random_mg(21, n_states=2, horizon=2, action_counts=(2,), single_agent=True)
+        fx = random_mg(21, n_states=2, horizon=2, action_counts=(2,))
         game, expert = fx.game, fx.expert
         best = 0.0
         for digits in itertools.product(range(2), repeat=4):
@@ -463,7 +463,7 @@ class TestGaps:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=2024, spawn_key=(seed,)))
             fx = random_mg(rng, n_states=int(rng.integers(2, 9)),
                            horizon=int(rng.integers(2, 7)),
-                           action_counts=(int(rng.integers(2, 5)),), single_agent=True)
+                           action_counts=(int(rng.integers(2, 5)),))
             dc = DeviationClass.complete(1)
             rg_ = regret_gap(fx.game, fx.expert, fx.learner, dc)
             vg = value_gap(fx.game, fx.expert, fx.learner)

@@ -208,7 +208,7 @@ class TestRandomMG:
         np.testing.assert_array_equal(a.expert.table, b.expert.table)
 
     def test_flags(self):
-        single = random_mg(1, n_states=3, horizon=3, action_counts=(3,), single_agent=True)
+        single = random_mg(1, n_states=3, horizon=3, action_counts=(3,))
         assert single.game.num_agents == 1
         cp = random_mg(2, n_states=3, horizon=3, common_payoff=True)
         np.testing.assert_array_equal(cp.game.rewards[0], cp.game.rewards[1])

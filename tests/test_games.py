@@ -13,13 +13,12 @@ from regretgap import (
     induced_joint_policy,
     io,
     sample_demonstrations,
-    sample_trajectory,
     validate_game,
     validate_policy,
 )
-from regretgap.evaluate import occupancy_bundle
+from regretgap.evaluate import occupancy_bundle, state_density
 from regretgap.fixtures import fig1_game, random_mg
-from regretgap.games import _pushforward
+from regretgap.games import _push, _shift
 
 
 def tiny_game(horizon=2):
@@ -178,10 +177,10 @@ class TestInducedPolicy:
         n = g.action_counts[agent]
         maps = rng.integers(0, n, size=(6, g.n_states, n))
         maps[2] = np.arange(n)  # the identity map leaves the table unchanged
-        stacked = _pushforward(g, fx.expert.table, agent, maps)
+        stacked = _push(_shift(g, agent, maps), fx.expert.table)
         assert stacked.shape == (6, g.n_states, g.n_joint_actions)
         for k in range(6):
-            single = _pushforward(g, fx.expert.table, agent, maps[k])
+            single = _push(_shift(g, agent, maps[k]), fx.expert.table)
             np.testing.assert_array_equal(stacked[k], single)
         np.testing.assert_array_equal(stacked[2], fx.expert.table)
 
@@ -220,23 +219,23 @@ class TestSampling:
         g = chain_game(3)
         pol = MediatorPolicy.deterministic(g, [0, 0, 0])
         for seed in (0, 1, 99):
-            traj = sample_trajectory(g, pol, seed)
-            np.testing.assert_array_equal(traj.states, [0, 1, 2])
-            np.testing.assert_array_equal(traj.actions, [0, 0, 0])
+            demos = sample_demonstrations(g, pol, 1, seed)
+            np.testing.assert_array_equal(demos.states[0], [0, 1, 2])
+            np.testing.assert_array_equal(demos.actions[0], [0, 0, 0])
 
     def test_seed_reproducibility(self):
         fx = random_mg(3, n_states=4, horizon=5)
-        t1 = sample_trajectory(fx.game, fx.expert, 42)
-        t2 = sample_trajectory(fx.game, fx.expert, 42)
-        np.testing.assert_array_equal(t1.states, t2.states)
-        np.testing.assert_array_equal(t1.actions, t2.actions)
+        t1 = sample_demonstrations(fx.game, fx.expert, 1, 42)
+        t2 = sample_demonstrations(fx.game, fx.expert, 1, 42)
+        np.testing.assert_array_equal(t1.states[0], t2.states[0])
+        np.testing.assert_array_equal(t1.actions[0], t2.actions[0])
 
     def test_fig1_expert_stays_on_lower_path(self):
         fx = fig1_game(6)
         lower = {0} | {2 * k for k in range(1, 6)}
         for seed in range(20):
-            traj = sample_trajectory(fx.game, fx.expert, seed)
-            assert set(traj.states.tolist()) <= lower
+            demos = sample_demonstrations(fx.game, fx.expert, 1, seed)
+            assert set(demos.states[0].tolist()) <= lower
 
     def test_empirical_frequencies_match_exact(self):
         fx = random_mg(11, n_states=3, horizon=4, action_counts=(2, 2))
@@ -265,9 +264,22 @@ class TestSampling:
         pol = MediatorPolicy.deterministic(g, [1, 1, 1])
         demos = sample_demonstrations(g, pol, 1, seed=3)
         assert len(demos) == 1
-        traj = next(iter(demos))
-        np.testing.assert_array_equal(traj.states, [0, 1, 2])
-        np.testing.assert_array_equal(traj.actions, [1, 1, 1])
+        np.testing.assert_array_equal(demos.states[0], [0, 1, 2])
+        np.testing.assert_array_equal(demos.actions[0], [1, 1, 1])
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_mc_density_is_the_normalized_state_counts_of_a_sample(self, seed):
+        # state_density(mode="mc") draws exactly the trajectories that
+        # sample_demonstrations draws for the same seed, int or Generator
+        fx = random_mg(seed, n_states=5, horizon=4, action_counts=(2, 3))
+        counts = sample_demonstrations(fx.game, fx.expert, 700, seed).state_counts(fx.game)
+        density = state_density(fx.game, fx.expert, "mc", 700, seed)
+        assert density.tolist() == (counts / counts.sum()).tolist()
+        rng1, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = sample_demonstrations(fx.game, fx.learner, 300, rng1).state_counts(fx.game)
+        density = state_density(fx.game, fx.learner, "mc", 300, rng2)
+        assert density.tolist() == (counts / counts.sum()).tolist()
+        assert rng1.random() == rng2.random()
 
 
 class TestImmutability:
