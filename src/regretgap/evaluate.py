@@ -275,6 +275,9 @@ def best_response_deviation(game: MarkovGame, sigma: MediatorPolicy, agent: int)
     return _sweep(game, sigma.table[None], [], [agent])[1][0][agent]
 
 
+_STATIONARY_CAP = 1 << 16     # most stationary maps one agent's enumeration may try
+
+
 def _stationary_maps(game: MarkovGame, agent: int, cap: int) -> np.ndarray:
     """Every stationary map (state, rec) -> action of one agent, as a
     (n^(S*n), S, n) stack in lexicographic order; refuses above ``cap``."""
@@ -287,7 +290,7 @@ def _stationary_maps(game: MarkovGame, agent: int, cap: int) -> np.ndarray:
 
 
 def enumerate_stationary_best_response(game: MarkovGame, sigma: MediatorPolicy, agent: int,
-                                       cap: int = 1 << 16) -> BestResponse:
+                                       cap: int = _STATIONARY_CAP) -> BestResponse:
     """Brute-force max over all stationary maps (state, rec) -> action.
 
     Enumerates all n^(S*n) stationary deviations with a batched forward
@@ -435,10 +438,10 @@ def coverage_constant(game: MarkovGame, expert: MediatorPolicy) -> float:
     return float(occupancy_bundle(game, expert).avg_state.min())
 
 
-def _u_candidates(game: MarkovGame, deviations: DeviationClass, cap: int | None = None):
+def _u_candidates(game: MarkovGame, deviations: DeviationClass, exhaustive: bool = False):
     """Deviations the u constants maximize over, and the agents whose per-step
     best response joins them: an explicit class as listed; COMPLETE as every
-    stationary map up to ``cap`` when given, else the identity plus the best
+    stationary map when ``exhaustive``, else the identity plus the best
     response."""
     if deviations.num_agents != game.num_agents:
         raise ValueError("deviation class does not match the game's agent count")
@@ -448,8 +451,8 @@ def _u_candidates(game: MarkovGame, deviations: DeviationClass, cap: int | None 
             if not deviations.explicit_for(i):
                 raise ValueError(f"agent {i}: explicit deviation class is empty")
             out += deviations.explicit_for(i)
-        elif cap is not None:
-            out += [Deviation(i, table) for table in _stationary_maps(game, i, cap)]
+        elif exhaustive:
+            out += [Deviation(i, table) for table in _stationary_maps(game, i, _STATIONARY_CAP)]
         else:
             out.append(Deviation.identity(game, i))
             br_agents.append(i)
@@ -458,8 +461,7 @@ def _u_candidates(game: MarkovGame, deviations: DeviationClass, cap: int | None 
 
 def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
                             deviations: DeviationClass,
-                            exact_enumeration: bool = False,
-                            cap: int = 1 << 16) -> float:
+                            exact_enumeration: bool = False) -> float:
     """u: largest advantage magnitude of the expert under any listed deviation.
 
     For each agent i and deviation phi in its class, computes the advantage
@@ -470,7 +472,7 @@ def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
     best-response deviation; with ``exact_enumeration`` every stationary
     map is tried instead (small games only).
     """
-    devs, br_agents = _u_candidates(game, deviations, cap if exact_enumeration else None)
+    devs, br_agents = _u_candidates(game, deviations, exact_enumeration)
     # stationary deviations get their own DP so their tables stay (K, S, A)
     stationary = [d for d in devs if not d.time_indexed]
     timed = [d for d in devs if d.time_indexed]

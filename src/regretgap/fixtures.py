@@ -400,7 +400,8 @@ def random_mg(seed, n_states: int = 4, horizon: int = 4,
     fixture = Fixture(
         name="random", game=game, expert=expert, learner=learner,
         witness_deviations=(),
-        params={"H": horizon, "n_states": S, "m": m, "seed": None},
+        params={"H": horizon, "n_states": S, "m": m,
+                "seed": int(seed) if isinstance(seed, (int, np.integer)) else None},
     )
     if full_coverage_expert:
         beta = coverage_constant(game, expert)

@@ -174,10 +174,6 @@ class MediatorPolicy:
     def n_states(self) -> int:
         return self.table.shape[0]
 
-    @property
-    def n_joint_actions(self) -> int:
-        return self.table.shape[1]
-
     @classmethod
     def uniform(cls, game: MarkovGame) -> "MediatorPolicy":
         A = game.n_joint_actions
@@ -330,25 +326,25 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-def validate_game(game: MarkovGame, atol: float = SIMPLEX_ATOL) -> ValidationReport:
+def validate_game(game: MarkovGame) -> ValidationReport:
     """Check the probabilistic invariants; violations are data, not exceptions."""
     bad = []
     row_sums = game.transition.sum(axis=2)
-    off = np.abs(row_sums - 1.0) > atol
+    off = np.abs(row_sums - 1.0) > SIMPLEX_ATOL
     for s, a in zip(*np.nonzero(off)):
         bad.append(f"transition row sum: state {game.states[s]} joint action {a} sums to {row_sums[s, a]:.12g}")
     if (game.transition < 0).any():
         bad.append("transition has negative entries")
-    if abs(game.initial_dist.sum() - 1.0) > atol:
+    if abs(game.initial_dist.sum() - 1.0) > SIMPLEX_ATOL:
         bad.append(f"initial_dist sums to {game.initial_dist.sum():.12g}")
     if (game.initial_dist < 0).any():
         bad.append("initial_dist has negative entries")
-    if (np.abs(game.rewards) > game.reward_bound + atol).any():
+    if (np.abs(game.rewards) > game.reward_bound + SIMPLEX_ATOL).any():
         bad.append(f"rewards exceed the declared bound {game.reward_bound}")
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
-def validate_policy(game: MarkovGame, policy: MediatorPolicy, atol: float = SIMPLEX_ATOL) -> ValidationReport:
+def validate_policy(game: MarkovGame, policy: MediatorPolicy) -> ValidationReport:
     bad = []
     if policy.table.shape != (game.n_states, game.n_joint_actions):
         bad.append(
@@ -357,7 +353,7 @@ def validate_policy(game: MarkovGame, policy: MediatorPolicy, atol: float = SIMP
         )
         return ValidationReport(False, tuple(bad))
     sums = policy.table.sum(axis=1)
-    for s in np.nonzero(np.abs(sums - 1.0) > atol)[0]:
+    for s in np.nonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)[0]:
         bad.append(f"policy row for state {game.states[s]} sums to {sums[s]:.12g}")
     if (policy.table < 0).any():
         bad.append("policy has negative entries")
@@ -505,8 +501,8 @@ def sample_demonstrations(game: MarkovGame, policy, n: int, seed) -> Demonstrati
     return DemonstrationSet(states, actions)
 
 
-def with_common_reward(game: MarkovGame, reward_sa, reward_bound: float | None = None) -> MarkovGame:
+def with_common_reward(game: MarkovGame, reward_sa) -> MarkovGame:
     """Copy of the game where every agent shares the given (S, A) reward."""
     r = np.tile(np.asarray(reward_sa, dtype=np.float64), (game.num_agents, 1, 1))
-    bound = reward_bound if reward_bound is not None else max(game.reward_bound, float(np.abs(r).max(initial=0.0)))
+    bound = max(game.reward_bound, float(np.abs(r).max(initial=0.0)))
     return dataclasses.replace(game, rewards=r, reward_bound=bound)

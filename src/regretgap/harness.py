@@ -2,10 +2,12 @@
 
 Each verify suite checks one pinned property of the library against either
 a closed-form value or an inequality bound, and emits one ReportRow per
-check.  Closed-form equalities use an absolute tolerance (default 1e-9);
-inequality bounds get a 1e-6 slack on top of the measured bound value.
-Suites are deterministic: every random object derives its seed from a
-fixed SeedSequence, and within-suite evaluation order is fixed.
+check.  Tolerances are pinned, not settable: 1e-9 on closed-form equalities
+and as the slack of the construction, lemma1 and jirl-ub bounds, and 1e-6
+slack on the trained policies' upper bounds.  Four suites pin their own:
+single-agent-eq 1e-8, nfg 1e-12, br-oracle 1e-10, and oco-regret's bound
+has no slack.  Suites are deterministic: every random object derives its
+seed from a fixed SeedSequence, and within-suite evaluation order is fixed.
 """
 
 from __future__ import annotations
@@ -128,12 +130,10 @@ def _timed(suite):
 # Shared random suites
 # ---------------------------------------------------------------------------
 
-_PROPERTY_SUITE_SIZE = 50
 _PROPERTY_ROUNDS = 500
-_property_cache: dict = {}
 
 
-def property_suite_games(count: int = _PROPERTY_SUITE_SIZE):
+def property_suite_games(count: int = 50):
     """Seeded full-coverage 2-agent games with explicit deviation classes.
 
     Sizes stay within |S| <= 6, |A_i| <= 3, H <= 6, and each class holds at
@@ -152,7 +152,8 @@ def property_suite_games(count: int = _PROPERTY_SUITE_SIZE):
     return out
 
 
-def property_suite_results(count: int = _PROPERTY_SUITE_SIZE, rounds: int = _PROPERTY_ROUNDS):
+@functools.cache
+def property_suite_results():
     """Train j_bc / malice / blades on the shared suite once; memoized.
 
     Per game returns the measured coverage, recoverability, expert regret,
@@ -160,11 +161,8 @@ def property_suite_results(count: int = _PROPERTY_SUITE_SIZE, rounds: int = _PRO
     in ``train_ms`` the wall time that took, which every row built from the
     game adds to its runtime.
     """
-    key = (count, rounds)
-    if key in _property_cache:
-        return _property_cache[key]
     records = []
-    for k, fx, phi in property_suite_games(count):
+    for k, fx, phi in property_suite_games():
         t0 = time.perf_counter()
         game, expert = fx.game, fx.expert
         beta = coverage_constant(game, expert)
@@ -176,7 +174,7 @@ def property_suite_results(count: int = _PROPERTY_SUITE_SIZE, rounds: int = _PRO
             "H": game.horizon, "m": game.num_agents, "beta": beta, "u": u,
             "regret_expert": r_expert,
         }
-        cfg = TrainConfig(rounds=rounds, seed=k)
+        cfg = TrainConfig(rounds=_PROPERTY_ROUNDS, seed=k)
         sig_bc = j_bc(game, expert=expert, fill_rule="uniform")
         res_m = malice_train(game, expert, phi, cfg)
         demos = sample_demonstrations(game, expert, 200, seed=10_000 + k)
@@ -190,7 +188,6 @@ def property_suite_results(count: int = _PROPERTY_SUITE_SIZE, rounds: int = _PRO
         rec["blades_queries"] = res_b.query_count
         rec["train_ms"] = (time.perf_counter() - t0) * 1000.0
         records.append(rec)
-    _property_cache[key] = records
     return records
 
 
@@ -200,14 +197,14 @@ def property_suite_results(count: int = _PROPERTY_SUITE_SIZE, rounds: int = _PRO
 
 
 @_timed
-def suite_thm3(tol: float = EQ_TOL) -> list[ReportRow]:
+def suite_thm3() -> list[ReportRow]:
     """Occupancy-equal pairs whose regret gap still grows linearly in H."""
     for H in (4, 8, 16, 32):
         fx = fig1_game(H)
         dc = DeviationClass.complete(2)
         occ_l1 = moment_matching_error(fx.game, fx.expert, fx.learner, normalized=True)
         gap = regret_gap(fx.game, fx.expert, fx.learner, dc)
-        ok = occ_l1 <= 1e-12 and abs(gap - (H - 2)) <= tol
+        ok = occ_l1 <= 1e-12 and abs(gap - (H - 2)) <= EQ_TOL
         yield ReportRow(
             suite="thm3", fixture=f"fig1(H={H})", H=H, m=2,
             expected=float(H - 2), measured=gap, value_gap=occ_l1,
@@ -215,7 +212,7 @@ def suite_thm3(tol: float = EQ_TOL) -> list[ReportRow]:
 
 
 @_timed
-def suite_coverage_lb(tol: float = EQ_TOL, suite_name: str = "thm6-lb") -> list[ReportRow]:
+def suite_coverage_lb(suite_name: str = "thm6-lb") -> list[ReportRow]:
     """Full-coverage construction: imitation error eps, moment error <= 2 eps,
     regret gap exactly eps*H/(2 beta) * (u'-2).  The one construction runs
     as both thm5-lb and thm6-lb, which emit identical rows under their names."""
@@ -226,21 +223,21 @@ def suite_coverage_lb(tol: float = EQ_TOL, suite_name: str = "thm6-lb") -> list[
     bc_err = weighted_tv_loss(fx.expert, fx.learner, d_e)
     yield ReportRow(
         suite=suite_name, fixture="coverage-lb/bc-error", H=H, m=2, beta=beta, eps=eps,
-        expected=eps, measured=bc_err, passed=abs(bc_err - eps) <= tol)
+        expected=eps, measured=bc_err, passed=abs(bc_err - eps) <= EQ_TOL)
     mom = moment_matching_error(fx.game, fx.expert, fx.learner, normalized=True)
     yield ReportRow(
         suite=suite_name, fixture="coverage-lb/moment", H=H, m=2, beta=beta, eps=eps,
-        bound=2 * eps + tol, measured=mom, passed=mom <= 2 * eps + tol)
+        bound=2 * eps + EQ_TOL, measured=mom, passed=mom <= 2 * eps + EQ_TOL)
     gap = regret_gap(fx.game, fx.expert, fx.learner, dc)
     expected = fx.expected["regret_gap"]
     yield ReportRow(
         suite=suite_name, fixture="coverage-lb/regret-gap", H=H, m=2, beta=beta, eps=eps,
         u=u, expected=expected, measured=gap, regret_gap=gap,
-        passed=abs(gap - expected) <= tol)
+        passed=abs(gap - expected) <= EQ_TOL)
 
 
 @_timed
-def suite_alice_lb(tol: float = EQ_TOL, which: str = "malice") -> list[ReportRow]:
+def suite_alice_lb(which: str = "malice") -> list[ReportRow]:
     """Single-agent fork: deviation-aware losses stay at eps while the regret
     gap is eps*H*(u'-1).  The one construction runs as thm8-lb and thm10-lb,
     whose rows differ only in the loss: MALICE for the first, BLADES for the second."""
@@ -257,18 +254,19 @@ def suite_alice_lb(tol: float = EQ_TOL, which: str = "malice") -> list[ReportRow
         loss = blades_loss(ExpertOracle(fx.expert), fx.learner, dists)
     yield ReportRow(
         suite=suite_name, fixture=f"alice-lb/{which}-loss", H=H, m=1, beta=beta, eps=eps,
-        bound=eps + tol, measured=loss, passed=loss <= eps + tol)
+        bound=eps + EQ_TOL, measured=loss, passed=loss <= eps + EQ_TOL)
     gap = regret_gap(fx.game, fx.expert, fx.learner, DeviationClass.complete(1))
     expected = fx.expected["regret_gap"]
     yield ReportRow(
         suite=suite_name, fixture="alice-lb/regret-gap", H=H, m=1, beta=beta, eps=eps, u=u,
         expected=expected, measured=gap, regret_gap=gap,
-        passed=abs(gap - expected) <= tol)
+        passed=abs(gap - expected) <= EQ_TOL)
 
 
 @_timed
-def suite_single_agent_eq(tol: float = 1e-8, count: int = 100) -> list[ReportRow]:
+def suite_single_agent_eq() -> list[ReportRow]:
     """On one-agent games the regret gap equals the value gap exactly."""
+    count, tol = 100, 1e-8
     worst = 0.0
     for k in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(k,)))
@@ -284,8 +282,9 @@ def suite_single_agent_eq(tol: float = 1e-8, count: int = 100) -> list[ReportRow
 
 
 @_timed
-def suite_nfg(tol: float = 1e-12) -> list[ReportRow]:
+def suite_nfg() -> list[ReportRow]:
     """Distinct zero-regret policies with different values in the one-shot game."""
+    tol = 1e-12
     fx_r, fx_rp = multi_ce_nfg()
     dc = DeviationClass.complete(2)
     r1 = regret(fx_r.game, fx_r.expert, dc)
@@ -311,7 +310,7 @@ def suite_nfg(tol: float = 1e-12) -> list[ReportRow]:
 
 
 @_timed
-def _suite_ub(algo: str, tol: float = BOUND_SLACK) -> list[ReportRow]:
+def _suite_ub(algo: str) -> list[ReportRow]:
     """Policies of the shared suite obey their regret-gap bounds: exact-fit
     cloning with uniform fill (eps/beta + 2 eps) * u * H on covered games,
     trained MALICE and BLADES 2 * eps_hat * u * H, and BLADES must actually
@@ -323,7 +322,7 @@ def _suite_ub(algo: str, tol: float = BOUND_SLACK) -> list[ReportRow]:
         for rec in records:
             eps, beta, u, H, gap = (rec[k] for k in (f"{key}_eps", "beta", "u", "H", f"{key}_gap"))
             coverage_term = (eps / beta) * u * H if algo == "jbc" else 0.0
-            bound = coverage_term + 2 * eps * u * H + tol
+            bound = coverage_term + 2 * eps * u * H + BOUND_SLACK
             yield ReportRow(
                 suite=f"{algo}-ub", fixture=f"random-{rec['index']}", algo=algo, H=H, m=rec["m"],
                 beta=beta, u=u, eps=eps, N=None if algo == "jbc" else _PROPERTY_ROUNDS,
@@ -339,7 +338,7 @@ suite_blades_ub = functools.partial(_suite_ub, "blades")
 
 
 @_timed
-def suite_thm4_ce(tol: float = EQ_TOL) -> list[ReportRow]:
+def suite_thm4_ce() -> list[ReportRow]:
     """Trained policies sit within expert-regret + regret-gap of equilibrium."""
     records = property_suite_results()      # fetched before the timer starts; rows add train_ms
 
@@ -348,7 +347,7 @@ def suite_thm4_ce(tol: float = EQ_TOL) -> list[ReportRow]:
             game, phi = rec["game"], rec["phi"]
             ok = True
             for algo in ("bc", "malice", "blades"):
-                eps_ce = rec["regret_expert"] + rec[f"{algo}_gap"] + tol
+                eps_ce = rec["regret_expert"] + rec[f"{algo}_gap"] + EQ_TOL
                 ok = ok and is_approx_ce(game, rec[f"{algo}_policy"], phi, max(eps_ce, 0.0))
             yield ReportRow(
                 suite="thm4-ce", fixture=f"random-{rec['index']}", H=rec["H"], m=rec["m"],
@@ -357,27 +356,28 @@ def suite_thm4_ce(tol: float = EQ_TOL) -> list[ReportRow]:
 
 
 @_timed
-def suite_jirl_ub(tol: float = EQ_TOL, count: int = 20, rounds: int = 500) -> list[ReportRow]:
+def suite_jirl_ub() -> list[ReportRow]:
     """Moment matching: value gap is dominated by the unnormalized moment
     error, and the error itself converges below 0.05."""
-    for k in range(count):
+    for k in range(20):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=555, spawn_key=(k,)))
         fx = random_mg(rng, n_states=4, horizon=4, action_counts=(2, 2),
                        common_payoff=True, full_coverage_expert=True)
-        res = j_irl(fx.game, fx.expert, rounds=rounds)
+        res = j_irl(fx.game, fx.expert, rounds=500)
         err_norm = moment_matching_error(fx.game, fx.expert, res.policy, normalized=True)
         err_raw = moment_matching_error(fx.game, fx.expert, res.policy, normalized=False)
         vg = value_gap(fx.game, fx.expert, res.policy)
-        ok = vg <= err_raw + tol and err_norm <= 0.05
+        ok = vg <= err_raw + EQ_TOL and err_norm <= 0.05
         yield ReportRow(
             suite="jirl-ub", fixture=f"random-cp-{k}", algo="jirl", H=4, m=2,
-            N=res.rounds_run, seed=k, value_gap=vg, bound=err_raw + tol,
+            N=res.rounds_run, seed=k, value_gap=vg, bound=err_raw + EQ_TOL,
             measured=err_norm, passed=ok)
 
 
 @_timed
-def suite_lemma1(tol: float = EQ_TOL, count: int = 200) -> list[ReportRow]:
+def suite_lemma1() -> list[ReportRow]:
     """|J_i(pi1) - J_i(pi2)| <= u * H * E_{d_pi2}[TV(pi1, pi2)] on random triples."""
+    count = 200
     worst = -np.inf
     ok = True
     for k in range(count):
@@ -391,7 +391,7 @@ def suite_lemma1(tol: float = EQ_TOL, count: int = 200) -> list[ReportRow]:
             _, _, adv = advantage_tensor(game, pi1, i)
             u = float(np.abs(adv).max())
             dj = abs(value(game, pi1, i) - value(game, pi2, i))
-            slack = dj - (eps * u * game.horizon + tol)
+            slack = dj - (eps * u * game.horizon + EQ_TOL)
             worst = max(worst, slack)
             ok = ok and slack <= 0
     yield ReportRow(
@@ -400,10 +400,10 @@ def suite_lemma1(tol: float = EQ_TOL, count: int = 200) -> list[ReportRow]:
 
 
 @_timed
-def suite_oco_regret(tol: float = 0.0, rounds: int = 4096) -> list[ReportRow]:
+def suite_oco_regret() -> list[ReportRow]:
     """Exponentiated gradient keeps average regret within 2 sqrt(log A / N)
     of the best fixed policy on an adversarial alternating loss sequence."""
-    A = 4
+    A, rounds = 4, 4096
     targets = [np.zeros((1, A)), np.zeros((1, A))]
     targets[0][0, 0] = 1.0
     targets[1][0, 1] = 1.0
@@ -417,16 +417,17 @@ def suite_oco_regret(tol: float = 0.0, rounds: int = 4096) -> list[ReportRow]:
     avg_alg = float(run.losses.mean())
     # best fixed comparator by dense grid over the simplex; for the
     # alternating one-hot targets the optimum 1/2 lies on the grid exactly
-    grid_best = _best_fixed_on_grid(targets, rounds, A, steps=20)
+    grid_best = _best_fixed_on_grid(targets, rounds, A)
     avg_regret = avg_alg - grid_best
-    bound = 2.0 * float(np.sqrt(np.log(A) / rounds)) + tol
+    bound = 2.0 * float(np.sqrt(np.log(A) / rounds))
     ok = avg_regret <= bound
     yield ReportRow(
         suite="oco-regret", fixture=f"alternating x{rounds}", algo="eg", N=rounds,
         bound=bound, measured=avg_regret, passed=ok)
 
 
-def _best_fixed_on_grid(targets, rounds, n_actions, steps=20) -> float:
+def _best_fixed_on_grid(targets, rounds, n_actions) -> float:
+    steps = 20
     seq_weights = np.zeros(len(targets))
     for n in range(rounds):
         seq_weights[n % len(targets)] += 1.0
@@ -441,7 +442,7 @@ def _best_fixed_on_grid(targets, rounds, n_actions, steps=20) -> float:
 
 
 @_timed
-def suite_thm1_dir(tol: float = EQ_TOL) -> list[ReportRow]:
+def suite_thm1_dir() -> list[ReportRow]:
     """Reward sweeps on the occupancy-equal pair: every per-reward value gap
     is zero, negative single-cell rewards identify the occupancy measure
     through the regret, yet some per-reward regret gap is positive."""
@@ -469,12 +470,12 @@ def suite_thm1_dir(tol: float = EQ_TOL) -> list[ReportRow]:
                     # the best response escapes the penalized cell, so the
                     # regret reads off H * occupancy at (s, a) exactly
                     r_l = regret(g2, fx.learner, dc)
-                    ident_ok = ident_ok and abs(r_l - H * rho_l[s, a]) <= tol
+                    ident_ok = ident_ok and abs(r_l - H * rho_l[s, a]) <= EQ_TOL
                     # equal pair: zero regret gap under every indicator forces equal occupancies
-                    pair_ok = pair_ok and abs(regret_gap(g2, fx.expert, fx.expert, dc)) <= tol
+                    pair_ok = pair_ok and abs(regret_gap(g2, fx.expert, fx.expert, dc)) <= EQ_TOL
     true_gap = regret_gap(game, fx.expert, fx.learner, dc)
-    ok = (max_vgap <= 1e-12 and max_rgap > tol and ident_ok
-          and abs(true_gap - (H - 2)) <= tol)
+    ok = (max_vgap <= 1e-12 and max_rgap > EQ_TOL and ident_ok
+          and abs(true_gap - (H - 2)) <= EQ_TOL)
     yield ReportRow(
         suite="thm1-dir", fixture=f"fig1(H={H})/sweep", H=H, m=2,
         value_gap=max_vgap, regret_gap=true_gap, measured=max_rgap,
@@ -486,9 +487,10 @@ def suite_thm1_dir(tol: float = EQ_TOL) -> list[ReportRow]:
 
 
 @_timed
-def suite_br_oracle(tol: float = 1e-10, count: int = 200) -> list[ReportRow]:
+def suite_br_oracle() -> list[ReportRow]:
     """Per-step best-response DP equals stationary brute force on games where
     every state belongs to exactly one step."""
+    count, tol = 200, 1e-10
     worst = 0.0
     ok = True
     for k in range(count):
@@ -528,11 +530,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, tolerance: float | None = None) -> list[ReportRow]:
+def run_suite(name: str) -> list[ReportRow]:
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    args = () if tolerance is None else (tolerance,)
-    return [row for suite in (SUITES if name == "all" else [name]) for row in SUITES[suite](*args)]
+    return [row for suite in (SUITES if name == "all" else [name]) for row in SUITES[suite]()]
 
 
 # ---------------------------------------------------------------------------
@@ -541,46 +542,42 @@ def run_suite(name: str, tolerance: float | None = None) -> list[ReportRow]:
 
 def _sweep_cell(fixture: str, params: dict, algo: str, seed: int, rounds: int) -> ReportRow:
     """One grid cell.  Without ``algo`` the fixture's learner is checked
-    against its closed-form regret gap; with one, the trained policy's gap
-    is measured and ``expected``/``pass`` stay empty, since no closed form
+    against its closed-form regret gap; with one, the trained policy's gaps
+    are measured and ``expected``/``pass`` stay empty, since no closed form
     pins a trained policy's gap."""
     fx = build_fixture(fixture, horizon=params.get("H"), u=params.get("u"),
                        beta=params.get("beta"), eps=params.get("eps"))
     game = fx.game
-    dc = DeviationClass.complete(game.num_agents)
-    gap = regret_gap(game, fx.expert, fx.learner, dc)
-    row = ReportRow(
+    if not algo:
+        pol = fx.learner
+    elif algo == "jbc":
+        pol = j_bc(game, expert=fx.expert, fill_rule="uniform")
+    elif algo == "jirl":
+        pol = j_irl(game, fx.expert, rounds=rounds).policy
+    elif algo == "malice":
+        pol = malice_train(game, fx.expert, fx.witness_class(),
+                           TrainConfig(rounds=rounds, seed=seed)).policy
+    else:                                   # blades; run_sweep checked the name
+        demos = sample_demonstrations(game, fx.expert, 100, seed=seed)
+        pol = blades_train(game, ExpertOracle(fx.expert), demos, fx.witness_class(),
+                           TrainConfig(rounds=rounds, seed=seed)).policy
+    gap = regret_gap(game, fx.expert, pol, DeviationClass.complete(game.num_agents))
+    expected = None if algo else fx.expected.get("regret_gap")
+    return ReportRow(
         suite="sweep", fixture=fixture, algo=algo,
         H=game.horizon, m=game.num_agents,
         beta=params.get("beta"), u=params.get("u"), eps=params.get("eps"),
         N=rounds if algo else None, seed=seed,
-        value_gap=value_gap(game, fx.expert, fx.learner), regret_gap=gap, measured=gap,
+        value_gap=value_gap(game, fx.expert, pol), regret_gap=gap, measured=gap,
+        expected=expected,
+        passed=None if algo else expected is None or abs(gap - expected) <= EQ_TOL,
     )
-    if not algo:
-        row.expected = fx.expected.get("regret_gap")
-        row.passed = row.expected is None or abs(gap - row.expected) <= EQ_TOL
-    else:
-        phi = fx.witness_class()
-        if algo == "jbc":
-            pol = j_bc(game, expert=fx.expert, fill_rule="uniform")
-        elif algo == "jirl":
-            pol = j_irl(game, fx.expert, rounds=rounds).policy
-        elif algo == "malice":
-            pol = malice_train(game, fx.expert, phi, TrainConfig(rounds=rounds, seed=seed)).policy
-        elif algo == "blades":
-            oracle = ExpertOracle(fx.expert)
-            demos = sample_demonstrations(game, fx.expert, 100, seed=seed)
-            pol = blades_train(game, oracle, demos, phi, TrainConfig(rounds=rounds, seed=seed)).policy
-        else:
-            raise ValueError(f"unknown algo {algo!r}")
-        row.measured = regret_gap(game, fx.expert, pol, dc)
-        row.passed = None
-    return row
 
 
 def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
     """Grid sweep over fixture parameters; cells are independent and run
-    deterministically regardless of the parallelism degree.  A cell that
+    deterministically regardless of the parallelism degree.  The fixture,
+    grid keys and ``algo`` are checked before any cell runs.  A cell that
     raises becomes a failed row carrying the exception in ``error``; cells
     whose learner assumption failed (``CoverageError``) are also counted in
     ``assumption_violations``, so the CLI can exit as ``train`` does."""
@@ -593,6 +590,8 @@ def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
     _check_params(fixture, FIXTURES[fixture], [{"H": "horizon"}.get(k, k) for k in grid])
     base_seed = int(config.get("base_seed", 0))
     algo = config.get("algo", "")
+    if algo not in ("", "jbc", "jirl", "malice", "blades"):
+        raise ValueError(f"unknown algo {algo!r}")
     rounds = int(config.get("rounds", 200))
     jobs = max(1, int(config.get("jobs", 1)))
     keys = sorted(grid)

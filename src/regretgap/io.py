@@ -91,10 +91,9 @@ def save_deviation(dev: Deviation, game: MarkovGame, path) -> Path:
     return path
 
 
-def load_deviation(path, game: MarkovGame, label: str = "") -> Deviation:
+def load_deviation(path, game: MarkovGame) -> Deviation:
     data = json.loads(Path(path).read_text())
-    return Deviation.from_entries(game, int(data["agent"]), data["entries"],
-                                  label=label or Path(path).stem)
+    return Deviation.from_entries(game, int(data["agent"]), data["entries"], label=Path(path).stem)
 
 
 def save_json(data: dict, path) -> Path:

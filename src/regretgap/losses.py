@@ -76,9 +76,10 @@ class CompositeMaxLoss:
 # ---------------------------------------------------------------------------
 
 
-def weighted_tv_loss(target, policy, weights: np.ndarray, atol: float = 1e-9) -> float:
+def weighted_tv_loss(target, policy, weights: np.ndarray) -> float:
     """sum_s w(s) * TV(target(s), policy(s)) with TV(p, q) = 0.5 * |p - q|_1."""
     w = np.asarray(weights, dtype=np.float64)
+    atol = 1e-9
     if w.min(initial=0.0) < -atol or abs(w.sum() - 1.0) > atol:
         raise ValueError("weights must form a probability distribution over states")
     return float(w @ tv_rows(_table(target), _table(policy)))
@@ -114,9 +115,8 @@ def malice_components(expert, d_expert: np.ndarray, deviated_dists: Sequence[np.
     return CompositeMaxLoss(dists, t)
 
 
-def malice_loss(expert, policy, d_expert: np.ndarray, deviated_dists: Sequence[np.ndarray],
-                labels: Sequence[str] | None = None) -> float:
-    return malice_components(expert, d_expert, deviated_dists, labels).value(policy)
+def malice_loss(expert, policy, d_expert: np.ndarray, deviated_dists: Sequence[np.ndarray]) -> float:
+    return malice_components(expert, d_expert, deviated_dists).value(policy)
 
 
 def blades_components(oracle, deviated_dists: Sequence[np.ndarray],
@@ -138,9 +138,8 @@ def blades_components(oracle, deviated_dists: Sequence[np.ndarray],
     return CompositeMaxLoss(dists, target)
 
 
-def blades_loss(oracle, policy, deviated_dists: Sequence[np.ndarray],
-                labels: Sequence[str] | None = None, round_index: int | None = None) -> float:
-    return blades_components(oracle, deviated_dists, labels, round_index).value(policy)
+def blades_loss(oracle, policy, deviated_dists: Sequence[np.ndarray]) -> float:
+    return blades_components(oracle, deviated_dists).value(policy)
 
 
 # ---------------------------------------------------------------------------

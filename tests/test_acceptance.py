@@ -112,7 +112,7 @@ def test_criterion_06_trained_policies_remain_near_equilibrium():
 
 
 def test_criterion_07_single_agent_equivalence():
-    rows = suite_single_agent_eq(tol=1e-8, count=100)
+    rows = suite_single_agent_eq()
     assert _report(7, "regret gap == value gap on 100 single-agent games", rows)
 
 
@@ -134,12 +134,12 @@ def test_criterion_09_one_shot_game_multiple_equilibria():
            "The factor-two bound is verified in test_evaluate.py.",
 )
 def test_criterion_10_on_policy_error_bound_tv_constant():
-    rows = suite_lemma1(tol=1e-9, count=200)
+    rows = suite_lemma1()
     assert _report(10, "value difference <= eps*u*H with eps = E[TV]", rows)
 
 
 def test_criterion_11_best_response_dp_equals_enumeration():
-    rows = suite_br_oracle(tol=1e-10, count=200)
+    rows = suite_br_oracle()
     assert _report(11, "per-step DP == stationary brute force on layered games", rows)
 
 
@@ -149,5 +149,5 @@ def test_criterion_12_no_regret_certificate():
 
 
 def test_criterion_13_moment_matching_learner():
-    rows = suite_jirl_ub(count=20, rounds=500)
+    rows = suite_jirl_ub()
     assert _report(13, "j_irl: value gap <= raw moment error, error <= 0.05", rows)

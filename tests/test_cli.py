@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from regretgap import MediatorPolicy, io, is_time_layered
+from regretgap import (DeviationClass, ExpertOracle, MediatorPolicy, TrainConfig, blades_train,
+                       io, is_time_layered, j_irl, regret_gap, sample_demonstrations, value_gap)
 from regretgap.cli import EXIT_ASSUMPTION, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from regretgap.fixtures import fig1_game
 from regretgap.harness import CSV_COLUMNS, run_sweep
 
 
@@ -55,6 +57,10 @@ class TestGen:
         assert rc == EXIT_USAGE
         assert not out.exists()
         assert f"does not take parameter(s) {named}" in capsys.readouterr().err
+
+    def test_random_records_its_seed(self, tmp_path):
+        assert main(["gen", "--name", "random", "--seed", "5", "--out", str(tmp_path)]) == EXIT_OK
+        assert io.load_json(tmp_path / "expected.json")["params"]["seed"] == 5
 
     def test_generated_files_reload(self, tmp_path):
         main(["gen", "--name", "coverage-lb", "--out", str(tmp_path)])
@@ -129,6 +135,15 @@ class TestEval:
         assert rc == EXIT_USAGE
         out = capsys.readouterr()
         assert "--deviation-file" in out.err and "--deviations file" in out.err
+        assert out.out == ""
+
+    def test_file_mode_without_a_deviation_file_exit_2(self, fig1_files, capsys):
+        rc = main(["eval", "--game", str(fig1_files / "game.json"),
+                   "--expert", str(fig1_files / "expert.json"),
+                   "--learner", str(fig1_files / "learner.json"), "--deviations", "file"])
+        assert rc == EXIT_USAGE
+        out = capsys.readouterr()
+        assert "--deviations file needs at least one --deviation-file" in out.err
         assert out.out == ""
 
     @pytest.mark.parametrize("agent", [5, -1])
@@ -223,6 +238,21 @@ class TestTrain:
         first = json.loads(lines[0])
         assert set(first) == {"round", "state", "mode"}
 
+    def test_trace_quotes_a_deviation_label_with_a_comma(self, tmp_path):
+        # a deviation's label is its file name without the extension
+        main(["gen", "--name", "coverage-lb", "--out", str(tmp_path)])
+        dev = tmp_path / "swap,left.json"
+        dev.write_text((tmp_path / "deviation_0.json").read_text())
+        rc = main(["train", "--algo", "blades", "--game", str(tmp_path / "game.json"),
+                   "--expert", str(tmp_path / "expert.json"), "--rounds", "20",
+                   "--deviation-file", str(dev), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_OK
+        with open(tmp_path / "run" / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["round", "loss", "achieving_agent", "achieving_deviation", "step_size"]
+        assert len(rows) == 21 and all(len(r) == 5 for r in rows)
+        assert rows[1][3] == "swap,left"
+
     def test_jirl_runs(self, tmp_path):
         main(["gen", "--name", "random", "--seed", "6", "--states", "3",
               "--out", str(tmp_path)])
@@ -271,6 +301,11 @@ class TestVerify:
 
     def test_unknown_suite_exit_2(self):
         assert main(["verify", "--suite", "nosuch"]) == EXIT_USAGE
+
+    def test_tolerance_is_not_an_option(self, capsys):
+        # pinned checks: a tolerance flag would turn lemma1's by-design FAIL into a PASS
+        assert main(["verify", "--suite", "lemma1", "--tolerance", "1"]) == EXIT_USAGE
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
     def test_nonpositive_tolerance_exit_2(self):
         assert main(["verify", "--suite", "nfg", "--tolerance", "0"]) == EXIT_USAGE
@@ -337,6 +372,20 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg_path)]) == EXIT_USAGE
         assert not (tmp_path / "s.csv").exists()
 
+    def test_unknown_algo_is_config_error_before_any_cell(self, tmp_path, monkeypatch):
+        import regretgap.harness as harness
+
+        cells = []
+        monkeypatch.setattr(harness, "_sweep_cell", lambda *args: cells.append(args))
+        with pytest.raises(ValueError, match="unknown algo 'newton'"):
+            run_sweep({"grid": {"H": [4, 5]}, "fixture": "fig1", "algo": "newton"})
+        assert cells == []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"H": [4, 5]}, "fixture": "fig1",
+                                        "algo": "newton", "out": str(tmp_path / "s.csv")}))
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert not (tmp_path / "s.csv").exists()
+
     def test_cell_failures_recorded_not_raised(self, tmp_path):
         # H=3 is below the coverage construction's floor, so that cell errors
         config = {"base_seed": 1, "grid": {"H": [3, 20]}, "fixture": "coverage-lb",
@@ -357,7 +406,7 @@ class TestSweep:
 
     def test_error_cells_keep_their_runtime(self):
         # MALICE needs expert coverage that fig1 lacks, so both cells raise
-        # after building the fixture and measuring its gap
+        # after building the fixture
         rows, summary = run_sweep({"base_seed": 3, "grid": {"H": [4, 6]}, "fixture": "fig1",
                                    "algo": "malice", "rounds": 5})
         assert summary["failed"] == 2
@@ -388,6 +437,23 @@ class TestSweep:
         assert row["expected"] == "" and row["pass"] == ""
         assert row["measured"] == pytest.approx(2.0 / 3.0)
         assert summary["failed"] == 0
+
+
+    @pytest.mark.parametrize("algo", ["jirl", "blades"])
+    def test_trained_cells_report_the_trained_policys_gaps(self, algo):
+        rows, summary = run_sweep({"base_seed": 4, "grid": {"H": [4]}, "fixture": "fig1",
+                                   "algo": algo, "rounds": 20})
+        row, fx = rows[0], fig1_game(4)
+        if algo == "jirl":
+            policy = j_irl(fx.game, fx.expert, rounds=20).policy
+        else:
+            demos = sample_demonstrations(fx.game, fx.expert, 100, seed=row.seed)
+            policy = blades_train(fx.game, ExpertOracle(fx.expert), demos, fx.witness_class(),
+                                  TrainConfig(rounds=20, seed=row.seed)).policy
+        assert (row.error, row.passed, row.N, summary["failed"]) == ("", None, 20, 0)
+        gap = regret_gap(fx.game, fx.expert, policy, DeviationClass.complete(2))
+        assert row.measured == row.regret_gap == gap
+        assert row.value_gap == value_gap(fx.game, fx.expert, policy)
 
 
 class TestExitCodeContract:

@@ -225,6 +225,12 @@ class TestRandomMG:
             fx = random_mg(seed, n_states=5, horizon=4, action_counts=(2, 3))
             assert validate_game(fx.game).ok
 
+    def test_params_record_an_int_seed_only(self):
+        assert random_mg(5).params["seed"] == 5
+        assert type(random_mg(np.int64(5)).params["seed"]) is int
+        assert random_mg(np.random.default_rng(5)).params["seed"] is None
+        assert random_mg(np.random.SeedSequence(5)).params["seed"] is None
+
     def test_caps_enforced(self):
         with pytest.raises(ValueError):
             random_mg(0, n_states=500, horizon=3)
