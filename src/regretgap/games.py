@@ -327,19 +327,21 @@ class ValidationReport:
 
 
 def validate_game(game: MarkovGame) -> ValidationReport:
-    """Check the probabilistic invariants; violations are data, not exceptions."""
+    """Check the probabilistic invariants; violations are data, not exceptions.
+
+    Each check reads ``not (... <= tol)``, so a NaN or infinite entry fails it."""
     bad = []
     row_sums = game.transition.sum(axis=2)
-    off = np.abs(row_sums - 1.0) > SIMPLEX_ATOL
+    off = ~(np.abs(row_sums - 1.0) <= SIMPLEX_ATOL)
     for s, a in zip(*np.nonzero(off)):
         bad.append(f"transition row sum: state {game.states[s]} joint action {a} sums to {row_sums[s, a]:.12g}")
     if (game.transition < 0).any():
         bad.append("transition has negative entries")
-    if abs(game.initial_dist.sum() - 1.0) > SIMPLEX_ATOL:
+    if not abs(game.initial_dist.sum() - 1.0) <= SIMPLEX_ATOL:
         bad.append(f"initial_dist sums to {game.initial_dist.sum():.12g}")
     if (game.initial_dist < 0).any():
         bad.append("initial_dist has negative entries")
-    if (np.abs(game.rewards) > game.reward_bound + SIMPLEX_ATOL).any():
+    if not (np.abs(game.rewards) <= game.reward_bound + SIMPLEX_ATOL).all():
         bad.append(f"rewards exceed the declared bound {game.reward_bound}")
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
@@ -353,7 +355,7 @@ def validate_policy(game: MarkovGame, policy: MediatorPolicy) -> ValidationRepor
         )
         return ValidationReport(False, tuple(bad))
     sums = policy.table.sum(axis=1)
-    for s in np.nonzero(np.abs(sums - 1.0) > SIMPLEX_ATOL)[0]:
+    for s in np.nonzero(~(np.abs(sums - 1.0) <= SIMPLEX_ATOL))[0]:
         bad.append(f"policy row for state {game.states[s]} sums to {sums[s]:.12g}")
     if (policy.table < 0).any():
         bad.append("policy has negative entries")

@@ -2,11 +2,17 @@
 
 Game file keys: ``horizon``, ``num_agents``, ``states`` (names),
 ``actions`` (per-agent name arrays), ``initial_dist``, ``transitions``
-nested as [state][joint_action][next_state], ``rewards`` nested as
+with shape [state][joint_action][next_state], ``rewards`` with shape
 [agent][state][joint_action], optional ``reward_bound``.  Joint actions
 are flattened row-major by agent index, matching games.MarkovGame.
 
-Policy file: ``{"table": [[... per joint action ...] per state]}``.
+Policy file: ``{"table": ...}`` with shape [state][joint_action].
+
+Each float array is written as one packed object, ``{"dtype": "<f8",
+"shape": [...], "data": ...}``, where ``data`` is the base64 of the
+array's little-endian float64 bytes in C order, so every number reads
+back bit for bit.  Nested lists of numbers (the form for writing a small
+game by hand) are read as well.
 
 Deviation file: ``{"agent": i, "entries": [[state, recommended, played],
 ...]}``; omitted (state, recommended) pairs default to the identity.
@@ -15,12 +21,47 @@ Entries may use names or integer indices; files are written with names.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .games import Deviation, MarkovGame, MediatorPolicy
+
+_DTYPE = "<f8"
+
+
+def _pack(arr: np.ndarray) -> dict:
+    arr = np.ascontiguousarray(arr, dtype=_DTYPE)
+    return {"dtype": _DTYPE, "shape": list(arr.shape),
+            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _unpack(value, field: str) -> np.ndarray:
+    """A packed object or nested lists of numbers, as a float64 array."""
+    if not isinstance(value, dict):
+        return np.asarray(value, dtype=np.float64)
+    if value.get("dtype") != _DTYPE:
+        raise ValueError(f"{field}: dtype must be {_DTYPE!r}, got {value.get('dtype')!r}")
+    shape = value.get("shape")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{field}: shape must be a list of non-negative ints, got {shape!r}")
+    try:
+        raw = base64.b64decode(value.get("data"), validate=True)
+    except (TypeError, ValueError) as exc:   # binascii.Error is a ValueError
+        raise ValueError(f"{field}: data is not valid base64 ({exc})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{field}: {len(raw)} data bytes do not fit shape {shape}")
+    return np.frombuffer(raw, dtype=_DTYPE).reshape(shape)   # read-only, so never copied again
+
+
+def _read_object(path) -> dict:
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def game_to_dict(game: MarkovGame) -> dict:
@@ -29,9 +70,9 @@ def game_to_dict(game: MarkovGame) -> dict:
         "num_agents": game.num_agents,
         "states": list(game.states),
         "actions": [list(acts) for acts in game.actions],
-        "initial_dist": game.initial_dist.tolist(),
-        "transitions": game.transition.tolist(),
-        "rewards": game.rewards.tolist(),
+        "initial_dist": _pack(game.initial_dist),
+        "transitions": _pack(game.transition),
+        "rewards": _pack(game.rewards),
     }
     if game.reward_bound != 1.0:
         out["reward_bound"] = game.reward_bound
@@ -44,9 +85,9 @@ def game_from_dict(data: dict) -> MarkovGame:
         num_agents=int(data["num_agents"]),
         states=tuple(data["states"]),
         actions=tuple(tuple(a) for a in data["actions"]),
-        transition=np.asarray(data["transitions"], dtype=np.float64),
-        rewards=np.asarray(data["rewards"], dtype=np.float64),
-        initial_dist=np.asarray(data["initial_dist"], dtype=np.float64),
+        transition=_unpack(data["transitions"], "transitions"),
+        rewards=_unpack(data["rewards"], "rewards"),
+        initial_dist=_unpack(data["initial_dist"], "initial_dist"),
         reward_bound=float(data.get("reward_bound", 1.0)),
     )
 
@@ -58,18 +99,17 @@ def save_game(game: MarkovGame, path) -> Path:
 
 
 def load_game(path) -> MarkovGame:
-    return game_from_dict(json.loads(Path(path).read_text()))
+    return game_from_dict(_read_object(path))
 
 
 def save_policy(policy: MediatorPolicy, path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps({"table": policy.table.tolist()}))
+    path.write_text(json.dumps({"table": _pack(policy.table)}))
     return path
 
 
 def load_policy(path) -> MediatorPolicy:
-    data = json.loads(Path(path).read_text())
-    return MediatorPolicy(np.asarray(data["table"], dtype=np.float64))
+    return MediatorPolicy(_unpack(_read_object(path)["table"], "table"))
 
 
 def save_deviation(dev: Deviation, game: MarkovGame, path) -> Path:
@@ -92,7 +132,7 @@ def save_deviation(dev: Deviation, game: MarkovGame, path) -> Path:
 
 
 def load_deviation(path, game: MarkovGame) -> Deviation:
-    data = json.loads(Path(path).read_text())
+    data = _read_object(path)
     return Deviation.from_entries(game, int(data["agent"]), data["entries"], label=Path(path).stem)
 
 
@@ -103,4 +143,4 @@ def save_json(data: dict, path) -> Path:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return _read_object(path)

@@ -1,9 +1,12 @@
 """Command-line harness: file generation, evaluation, training, verify
 suites, sweeps, and the exit-code contract."""
 
+import base64
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from regretgap import (DeviationClass, ExpertOracle, MediatorPolicy, TrainConfig, blades_train,
@@ -16,6 +19,17 @@ from regretgap.harness import CSV_COLUMNS, run_sweep
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def hand_written(path):
+    """A game or policy file's JSON with every float array as nested lists,
+    the form used to write a file by hand."""
+    data = io.load_json(path)
+    if "table" in data:
+        return {"table": io.load_policy(path).table.tolist()}
+    game = io.load_game(path)
+    return {**data, "initial_dist": game.initial_dist.tolist(),
+            "transitions": game.transition.tolist(), "rewards": game.rewards.tolist()}
 
 
 class TestGen:
@@ -159,7 +173,7 @@ class TestEval:
 
     def test_invalid_game_fails_validation(self, tmp_path, capsys):
         main(["gen", "--name", "fig1", "--horizon", "4", "--out", str(tmp_path)])
-        data = io.load_json(tmp_path / "game.json")
+        data = hand_written(tmp_path / "game.json")
         data["transitions"][0][0][0] = 0.5  # break a row sum
         (tmp_path / "game.json").write_text(json.dumps(data))
         rc = main(["eval", "--game", str(tmp_path / "game.json"),
@@ -172,6 +186,71 @@ class TestEval:
                    "--expert", str(tmp_path / "none.json"),
                    "--learner", str(tmp_path / "none.json")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("field", ["initial_dist", "transition", "rewards", "table"])
+    def test_nan_entry_fails_validation(self, fig1_files, capsys, field):
+        # a packed file carries any bit pattern; NaN is no probability or bounded reward
+        if field == "table":
+            table = np.array(io.load_policy(fig1_files / "learner.json").table)
+            table[0, 0] = np.nan
+            io.save_policy(MediatorPolicy(table), fig1_files / "learner.json")
+        else:
+            game = io.load_game(fig1_files / "game.json")
+            arr = np.array(getattr(game, field))
+            arr.flat[0] = np.nan
+            io.save_game(dataclasses.replace(game, **{field: arr}), fig1_files / "game.json")
+        rc = main(["eval", "--game", str(fig1_files / "game.json"),
+                   "--expert", str(fig1_files / "expert.json"),
+                   "--learner", str(fig1_files / "learner.json")])
+        assert rc == EXIT_CHECK_FAILED
+        assert ("learner" if field == "table" else "game") + " validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file,field,corrupt", [
+        ("game", "transitions", lambda p: {**p, "dtype": "<f4"}),
+        ("game", "transitions", lambda p: {k: v for k, v in p.items() if k != "dtype"}),
+        ("game", "transitions", lambda p: {**p, "shape": 72}),
+        ("game", "transitions", lambda p: {**p, "shape": [-n for n in p["shape"]]}),
+        ("game", "transitions", lambda p: {**p, "shape": [float(n) for n in p["shape"]]}),
+        ("game", "transitions",
+         lambda p: {**p, "data": base64.b64encode(base64.b64decode(p["data"])[:-8]).decode()}),
+        ("game", "rewards", lambda p: {**p, "data": "@" + p["data"]}),
+        ("game", "initial_dist", lambda p: {**p, "data": p["data"][:-1]}),
+        ("expert", "table", lambda p: {**p, "data": None}),
+        ("learner", "table", lambda p: {**p, "shape": [2, *p["shape"]]}),
+    ], ids=["dtype-f4", "no-dtype", "shape-int", "shape-negative", "shape-floats",
+            "8-bytes-short", "data-not-base64", "data-bad-padding", "no-data", "shape-past-the-data"])
+    def test_malformed_packed_array_exit_2(self, fig1_files, capsys, file, field, corrupt):
+        path = fig1_files / f"{file}.json"
+        data = io.load_json(path)
+        data[field] = corrupt(data[field])
+        path.write_text(json.dumps(data))
+        rc = main(["eval", "--game", str(fig1_files / "game.json"),
+                   "--expert", str(fig1_files / "expert.json"),
+                   "--learner", str(fig1_files / "learner.json")])
+        assert rc == EXIT_USAGE
+        assert f"error: {field}: " in capsys.readouterr().err
+
+    def test_packed_shape_that_disagrees_with_the_game_exit_2(self, fig1_files, capsys):
+        data = io.load_json(fig1_files / "game.json")
+        S, A, _ = data["transitions"]["shape"]
+        data["transitions"]["shape"] = [A, S, S]   # the right byte count, the wrong layout
+        (fig1_files / "game.json").write_text(json.dumps(data))
+        rc = main(["eval", "--game", str(fig1_files / "game.json"),
+                   "--expert", str(fig1_files / "expert.json"),
+                   "--learner", str(fig1_files / "learner.json")])
+        assert rc == EXIT_USAGE
+        assert "transition must have shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file", ["game", "expert", "deviation_0"])
+    def test_top_level_that_is_not_an_object_exit_2(self, fig1_files, capsys, file):
+        path = fig1_files / f"{file}.json"
+        path.write_text("[1, 2]")
+        rc = main(["eval", "--game", str(fig1_files / "game.json"),
+                   "--expert", str(fig1_files / "expert.json"),
+                   "--learner", str(fig1_files / "learner.json"),
+                   "--deviations", "file", "--deviation-file", str(fig1_files / "deviation_0.json")])
+        assert rc == EXIT_USAGE
+        assert f"{path}: the top level must be a JSON object, got list" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -209,7 +288,7 @@ class TestTrain:
     @pytest.mark.parametrize("broken", ["game", "expert"])
     def test_invalid_inputs_fail_validation(self, tmp_path, capsys, broken):
         main(["gen", "--name", "coverage-lb", "--out", str(tmp_path)])
-        data = io.load_json(tmp_path / f"{broken}.json")
+        data = hand_written(tmp_path / f"{broken}.json")
         if broken == "game":
             data["transitions"][0][0][0] += 0.5  # this row now sums to 1.5
         else:
@@ -356,6 +435,11 @@ class TestSweep:
     def test_empty_grid_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"grid": {}, "fixture": "fig1"}))
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_USAGE
+
+    def test_config_that_is_not_an_object_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
         assert main(["sweep", "--config", str(cfg_path)]) == EXIT_USAGE
 
     def test_grid_key_the_fixture_does_not_take_is_config_error(self, tmp_path, monkeypatch):

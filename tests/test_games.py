@@ -1,5 +1,8 @@
 """Game model, induced behavior, sampling, and file formats."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,19 @@ class TestValidation:
         bad = MarkovGame(g.horizon, g.num_agents, g.states, g.actions,
                          g.transition, g.rewards, np.array([0.7, 0.0]))
         assert any("initial_dist" in v for v in validate_game(bad).violations)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["initial_dist", "transition", "rewards", "table"])
+    def test_non_finite_entry_flagged(self, field, value):
+        g = tiny_game()
+        if field == "table":
+            table = np.full((2, 4), 0.25)
+            table[0, 0] = value
+            assert not validate_policy(g, MediatorPolicy(table)).ok
+        else:
+            arr = np.array(getattr(g, field))
+            arr.flat[0] = value
+            assert not validate_game(dataclasses.replace(g, **{field: arr})).ok
 
     def test_shape_errors_raise(self):
         g = tiny_game()
@@ -291,7 +307,56 @@ class TestImmutability:
             fx.expert.table[0, 0] = 0.5
 
 
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+GAME_ARRAYS = ("transition", "rewards", "initial_dist")
+
+
 class TestFileFormats:
+    def test_packed_round_trip_is_bitwise(self, tmp_path):
+        special = [-0.0, 5e-324, 2.2250738585072e-308, np.nextafter(1.0, 0.0), 1 / 3]
+        g = tiny_game()
+        T, r = np.array(g.transition), np.array(g.rewards)
+        T.flat[:5] = r.flat[:5] = special
+        game = dataclasses.replace(g, transition=T, rewards=r, initial_dist=np.array([-0.0, 5e-324]))
+        path = io.save_game(game, tmp_path / "game.json")
+        assert io.load_json(path)["transitions"]["dtype"] == "<f8"
+        g2 = io.load_game(path)
+        for name in GAME_ARRAYS:
+            assert_bitwise(getattr(g2, name), getattr(game, name))
+        table = np.full((2, 4), 0.25)
+        table.flat[:5] = special
+        p2 = io.load_policy(io.save_policy(MediatorPolicy(table), tmp_path / "pol.json"))
+        assert_bitwise(p2.table, table)
+
+    def test_desk_cap_round_trip_is_bitwise(self, tmp_path):
+        fx = random_mg(0, n_states=200, horizon=10, action_counts=(2,) * 4,
+                       full_coverage_expert=True)
+        g2 = io.load_game(io.save_game(fx.game, tmp_path / "game.json"))
+        for name in GAME_ARRAYS:
+            assert_bitwise(getattr(g2, name), getattr(fx.game, name))
+        for pol in (fx.expert, fx.learner):
+            assert_bitwise(io.load_policy(io.save_policy(pol, tmp_path / "pol.json")).table,
+                           pol.table)
+
+    def test_nested_lists_load_like_the_packed_form(self, tmp_path):
+        # nested lists are the hand-written form, and the form of older files
+        fx = random_mg(2, n_states=5, horizon=4)
+        packed = io.load_game(io.save_game(fx.game, tmp_path / "packed.json"))
+        nested = {**io.game_to_dict(fx.game), "transitions": fx.game.transition.tolist(),
+                  "rewards": fx.game.rewards.tolist(),
+                  "initial_dist": fx.game.initial_dist.tolist()}
+        (tmp_path / "nested.json").write_text(json.dumps(nested))
+        g2 = io.load_game(tmp_path / "nested.json")
+        for name in GAME_ARRAYS:
+            assert_bitwise(getattr(g2, name), getattr(packed, name))
+        (tmp_path / "pol.json").write_text(json.dumps({"table": fx.expert.table.tolist()}))
+        assert_bitwise(io.load_policy(tmp_path / "pol.json").table,
+                       io.load_policy(io.save_policy(fx.expert, tmp_path / "packed_pol.json")).table)
+
     def test_game_round_trip(self, tmp_path):
         fx = fig1_game(5)
         path = io.save_game(fx.game, tmp_path / "game.json")
