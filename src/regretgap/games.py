@@ -95,6 +95,12 @@ class MarkovGame:
         object.__setattr__(
             self, "actions", tuple(tuple(str(a) for a in acts) for acts in self.actions)
         )
+        # deviation files and sparse policy rows address states and actions by name
+        for field, names in [("states", self.states),
+                             *((f"actions[{i}]", acts) for i, acts in enumerate(self.actions))]:
+            if len(set(names)) != len(names):
+                dup = next(n for n in names if names.count(n) > 1)
+                raise ValueError(f"{field}: the name {dup!r} appears more than once")
         S = len(self.states)
         A = int(np.prod([len(acts) for acts in self.actions]))
         T = _frozen_array(self.transition)
@@ -148,14 +154,25 @@ class MarkovGame:
         return int(np.prod(counts[agent + 1:], dtype=np.int64)) if agent + 1 < len(counts) else 1
 
     def state_index(self, state) -> int:
-        if isinstance(state, str):
-            return self.states.index(state)
-        return int(state)
+        return _name_or_index(state, self.states, "state")
 
     def action_index(self, agent: int, action) -> int:
-        if isinstance(action, str):
-            return self.actions[agent].index(action)
-        return int(action)
+        return _name_or_index(action, self.actions[agent], f"agent {agent}'s action")
+
+
+def _is_index(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _name_or_index(x, names: tuple[str, ...], what: str) -> int:
+    """Position of ``x`` in ``names``: a name, or an int index in range."""
+    if isinstance(x, str):
+        if x not in names:
+            raise ValueError(f"{what} {x!r} is not a name in the game")
+        return names.index(x)
+    if not (_is_index(x) and 0 <= x < len(names)):
+        raise ValueError(f"{what} {x!r} is neither a name nor an index in 0 .. {len(names) - 1}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -243,15 +260,25 @@ class Deviation:
         """Stationary deviation from (state, recommended, played) triples.
 
         Pairs not listed default to the identity.  States and actions may be
-        given as names or indices.
+        given as names or in-range int indices; anything else is a
+        ValueError that names the entry.
         """
+        if not _is_index(agent):
+            raise ValueError(f"deviation agent must be an int index, got {agent!r}")
         if not 0 <= agent < game.num_agents:
             raise ValueError(f"deviation for agent {agent}, but the game has {game.num_agents} agents")
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"deviation entries must be a list of [state, recommended, played], "
+                             f"got {entries!r}")
         n = game.action_counts[agent]
         table = np.tile(np.arange(n), (game.n_states, 1))
-        for state, rec, played in entries:
-            s = game.state_index(state)
-            table[s, game.action_index(agent, rec)] = game.action_index(agent, played)
+        for k, entry in enumerate(entries):
+            try:
+                state, rec, played = entry
+                s = game.state_index(state)
+                table[s, game.action_index(agent, rec)] = game.action_index(agent, played)
+            except (TypeError, ValueError) as exc:   # TypeError: an entry that does not unpack
+                raise ValueError(f"deviation entry {k} {entry!r}: {exc}") from None
         return cls(agent, table, label=label)
 
     def check_for(self, game: MarkovGame) -> None:

@@ -12,11 +12,15 @@ Each float array is written as one packed object, ``{"dtype": "<f8",
 "shape": [...], "data": ...}``, where ``data`` is the base64 of the
 array's little-endian float64 bytes in C order, so every number reads
 back bit for bit.  Nested lists of numbers (the form for writing a small
-game by hand) are read as well.
+game by hand) are read as well.  A file holds exactly the text
+``json.dumps`` gives for its dict (``game_to_dict`` for a game), but the
+writer puts each base64 payload into the file as bytes: the payload, 7 MB
+at the desk cap, never passes through the JSON encoder or a str.
 
 Deviation file: ``{"agent": i, "entries": [[state, recommended, played],
 ...]}``; omitted (state, recommended) pairs default to the identity.
-Entries may use names or integer indices; files are written with names.
+Entries may use names or in-range integer indices; files are written
+with names.
 """
 
 from __future__ import annotations
@@ -64,25 +68,62 @@ def _read_object(path) -> dict:
     return data
 
 
-def game_to_dict(game: MarkovGame) -> dict:
+def _write_packed(obj: dict, path) -> Path:
+    """Write ``json.dumps`` of ``obj`` with each array value packed.
+
+    The text is the one ``json.dumps`` gives with ``_pack`` applied to every
+    ndarray value of ``obj``, but each base64 payload goes to the file as the
+    bytes ``b64encode`` returns, skipping the encoder's scan for characters to
+    escape (base64 has none) and the round trip through a str.
+    """
+    parts = [b"{"]
+    for k, (key, value) in enumerate(obj.items()):
+        head = (", " if k else "") + json.dumps(key) + ": "
+        if isinstance(value, np.ndarray):
+            arr = np.ascontiguousarray(value, dtype=_DTYPE)
+            head += f'{{"dtype": "{_DTYPE}", "shape": {json.dumps(list(arr.shape))}, "data": "'
+            parts += [head.encode("ascii"), base64.b64encode(arr), b'"}']
+        else:
+            parts.append((head + json.dumps(value)).encode("ascii"))
+    parts.append(b"}")
+    path = Path(path)
+    with path.open("wb") as fh:
+        fh.writelines(parts)
+    return path
+
+
+def _game_fields(game: MarkovGame) -> dict:
+    """A game file's top-level fields in file order, float arrays unpacked."""
     out = {
         "horizon": game.horizon,
         "num_agents": game.num_agents,
         "states": list(game.states),
         "actions": [list(acts) for acts in game.actions],
-        "initial_dist": _pack(game.initial_dist),
-        "transitions": _pack(game.transition),
-        "rewards": _pack(game.rewards),
+        "initial_dist": game.initial_dist,
+        "transitions": game.transition,
+        "rewards": game.rewards,
     }
     if game.reward_bound != 1.0:
         out["reward_bound"] = game.reward_bound
     return out
 
 
+def game_to_dict(game: MarkovGame) -> dict:
+    return {key: _pack(value) if isinstance(value, np.ndarray) else value
+            for key, value in _game_fields(game).items()}
+
+
+def _json_int(data: dict, field: str) -> int:
+    value = data[field]
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
 def game_from_dict(data: dict) -> MarkovGame:
     return MarkovGame(
-        horizon=int(data["horizon"]),
-        num_agents=int(data["num_agents"]),
+        horizon=_json_int(data, "horizon"),
+        num_agents=_json_int(data, "num_agents"),
         states=tuple(data["states"]),
         actions=tuple(tuple(a) for a in data["actions"]),
         transition=_unpack(data["transitions"], "transitions"),
@@ -93,9 +134,7 @@ def game_from_dict(data: dict) -> MarkovGame:
 
 
 def save_game(game: MarkovGame, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(game_to_dict(game)))
-    return path
+    return _write_packed(_game_fields(game), path)
 
 
 def load_game(path) -> MarkovGame:
@@ -103,9 +142,7 @@ def load_game(path) -> MarkovGame:
 
 
 def save_policy(policy: MediatorPolicy, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps({"table": _pack(policy.table)}))
-    return path
+    return _write_packed({"table": policy.table}, path)
 
 
 def load_policy(path) -> MediatorPolicy:
@@ -133,7 +170,11 @@ def save_deviation(dev: Deviation, game: MarkovGame, path) -> Path:
 
 def load_deviation(path, game: MarkovGame) -> Deviation:
     data = _read_object(path)
-    return Deviation.from_entries(game, int(data["agent"]), data["entries"], label=Path(path).stem)
+    try:
+        return Deviation.from_entries(game, data.get("agent"), data.get("entries"),
+                                      label=Path(path).stem)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_json(data: dict, path) -> Path:

@@ -171,6 +171,59 @@ class TestEval:
         assert rc == EXIT_USAGE
         assert f"agent {agent}," in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dev,message", [
+        ({"agent": 0, "entries": [[99, "a1", "a2"]]}, "state 99 is neither a name nor an index"),
+        ({"agent": 0, "entries": [[-1, "a1", "a2"]]}, "state -1 is neither a name nor an index"),
+        ({"agent": 0, "entries": [["s0", -1, "a2"]]},
+         "agent 0's action -1 is neither a name nor an index"),
+        ({"agent": 0, "entries": [[0.7, "a1", "a2"]]}, "state 0.7 is neither a name nor an index"),
+        ({"agent": 0.6, "entries": []}, "deviation agent must be an int index, got 0.6"),
+        ({"agent": 0, "entries": [["nowhere", "a1", "a2"]]}, "state 'nowhere' is not a name"),
+    ], ids=["state-99", "state-minus-1", "recommended-minus-1", "state-0.7", "agent-0.6",
+            "unknown-name"])
+    def test_deviation_entry_that_is_no_name_or_index_in_range_exit_2(self, fig1_files, capsys,
+                                                                      dev, message):
+        # these used to raise IndexError (exit 1), wrap to the last state or
+        # action, or truncate to index 0 (exit 0)
+        path = fig1_files / "dev.json"
+        path.write_text(json.dumps(dev))
+        rc = main(["eval", "--game", str(fig1_files / "game.json"),
+                   "--expert", str(fig1_files / "expert.json"),
+                   "--learner", str(fig1_files / "learner.json"),
+                   "--deviations", "file", "--deviation-file", str(path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and message in err
+        if dev["entries"]:
+            assert f"deviation entry 0 {dev['entries'][0]!r}" in err
+
+    @pytest.mark.parametrize("field,value", [("horizon", 2.5), ("horizon", True),
+                                             ("num_agents", 2.9)])
+    def test_header_field_that_is_not_a_json_int_exit_2(self, fig1_files, capsys, field, value):
+        data = io.load_json(fig1_files / "game.json")
+        data[field] = value
+        (fig1_files / "game.json").write_text(json.dumps(data))
+        rc = main(["eval", "--game", str(fig1_files / "game.json"),
+                   "--expert", str(fig1_files / "expert.json"),
+                   "--learner", str(fig1_files / "learner.json")])
+        assert rc == EXIT_USAGE
+        assert f"error: {field} must be a JSON integer, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["states", "actions[1]"])
+    def test_repeated_name_exit_2(self, fig1_files, capsys, field):
+        # deviation files address states and actions by name, so a repeated
+        # name would send every entry for it to its first copy
+        data = io.load_json(fig1_files / "game.json")
+        names = data["states"] if field == "states" else data["actions"][1]
+        names[1] = names[0]
+        (fig1_files / "game.json").write_text(json.dumps(data))
+        rc = main(["eval", "--game", str(fig1_files / "game.json"),
+                   "--expert", str(fig1_files / "expert.json"),
+                   "--learner", str(fig1_files / "learner.json")])
+        assert rc == EXIT_USAGE
+        assert f"error: {field}: the name {names[0]!r} appears more than once" in \
+            capsys.readouterr().err
+
     def test_invalid_game_fails_validation(self, tmp_path, capsys):
         main(["gen", "--name", "fig1", "--horizon", "4", "--out", str(tmp_path)])
         data = hand_written(tmp_path / "game.json")
@@ -284,6 +337,17 @@ class TestTrain:
         assert rc == EXIT_USAGE
         assert f"agent {agent}," in capsys.readouterr().err
         assert not (tmp_path / "run").exists()  # validated before the output directory
+
+    def test_deviation_entry_out_of_range_exit_2(self, tmp_path, capsys):
+        main(["gen", "--name", "fig1", "--horizon", "4", "--out", str(tmp_path)])
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps({"agent": 0, "entries": [[99, "a1", "a2"]]}))
+        rc = main(["train", "--algo", "blades", "--game", str(tmp_path / "game.json"),
+                   "--expert", str(tmp_path / "expert.json"),
+                   "--deviation-file", str(dev), "--rounds", "5", "--out", str(tmp_path / "run")])
+        assert rc == EXIT_USAGE
+        assert "deviation entry 0 [99, 'a1', 'a2']: state 99" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("broken", ["game", "expert"])
     def test_invalid_inputs_fail_validation(self, tmp_path, capsys, broken):

@@ -20,7 +20,7 @@ from regretgap import (
     validate_policy,
 )
 from regretgap.evaluate import occupancy_bundle, state_density
-from regretgap.fixtures import fig1_game, random_mg
+from regretgap.fixtures import coverage_lb_game, fig1_game, multi_ce_nfg, random_mg
 from regretgap.games import _push, _shift
 
 
@@ -315,7 +315,42 @@ def assert_bitwise(got, want):
 GAME_ARRAYS = ("transition", "rewards", "initial_dist")
 
 
+def quoted_names_game():
+    """A game whose state and action names need escaping in JSON."""
+    g = tiny_game()
+    return dataclasses.replace(g, states=('say "hi"', "back\\slash"),
+                               actions=(("été", "a2"), ("雨", 'q"\\')))
+
+
+BYTE_IDENTITY_GAMES = {
+    "fig1": lambda: fig1_game(6).game,
+    "multi-ce-nfg-0": lambda: multi_ce_nfg()[0].game,
+    "multi-ce-nfg-1": lambda: multi_ce_nfg()[1].game,
+    "coverage-lb": lambda: coverage_lb_game().game,
+    "reward-bound": lambda: dataclasses.replace(fig1_game(4).game,
+                                                reward_bound=float(np.nextafter(2.5, 3))),
+    "quoted-names": quoted_names_game,
+}
+
+
 class TestFileFormats:
+    @pytest.mark.parametrize("name", BYTE_IDENTITY_GAMES)
+    def test_writer_gives_the_json_dumps_bytes(self, tmp_path, name):
+        # the writer passes each base64 payload through as bytes; the file must
+        # still be exactly the text json.dumps gives for the same dict
+        game = BYTE_IDENTITY_GAMES[name]()
+        path = io.save_game(game, tmp_path / "game.json")
+        assert path.read_bytes() == json.dumps(io.game_to_dict(game)).encode("ascii")
+        g2 = io.load_game(path)
+        for field in GAME_ARRAYS:
+            assert_bitwise(getattr(g2, field), getattr(game, field))
+        assert (g2.horizon, g2.num_agents, g2.states, g2.actions, g2.reward_bound) == \
+            (game.horizon, game.num_agents, game.states, game.actions, game.reward_bound)
+        table = np.random.default_rng(0).dirichlet(np.ones(game.n_joint_actions), game.n_states)
+        path = io.save_policy(MediatorPolicy(table), tmp_path / "pol.json")
+        assert path.read_bytes() == json.dumps({"table": io._pack(table)}).encode("ascii")
+        assert_bitwise(io.load_policy(path).table, table)
+
     def test_packed_round_trip_is_bitwise(self, tmp_path):
         special = [-0.0, 5e-324, 2.2250738585072e-308, np.nextafter(1.0, 0.0), 1 / 3]
         g = tiny_game()
