@@ -194,12 +194,13 @@ def _cmd_train(args) -> int:
     game, expert = loaded
     if args.deviation_file:
         phi = _explicit_class(game, args.deviation_file)
-    else:
+    else:   # regret_gap is then 0.0 by construction: no agent can deviate
         phi = DeviationClass.identities(game)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(rounds=args.rounds, seed=args.seed)
-    summary: dict = {"algo": args.algo, "rounds": args.rounds, "seed": args.seed}
+    summary: dict = {"algo": args.algo, "rounds": args.rounds, "seed": args.seed, "deviation_class":
+                     [Path(p).stem for p in args.deviation_file] or "identities"}
     trace = ()
     if args.algo == "jbc":
         policy = j_bc(game, expert=expert, fill_rule=args.fill_rule, deviations=phi)

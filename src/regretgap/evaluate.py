@@ -164,8 +164,8 @@ def _sweep(game: MarkovGame, sigmas: np.ndarray, devs, br_agents=(), n_u=None):
     pf, pinv = _distinct(sigmas)
     sigmas = sigmas[pf]                # sigmas[0] stays the first policy
     P, K, nb = len(sigmas), len(devs), len(br_agents)
-    index = _push_index(game, devs)
-    tables = np.concatenate([_push(index, sigma) for sigma in sigmas])
+    push = _push_index(game, devs)
+    tables = np.concatenate([push(sigma) for sigma in sigmas])
     agents = np.tile(np.array([dev.agent for dev in devs], dtype=np.int64), P)
     first, inverse = _distinct(tables, agents)
     tables, agents = tables[first], agents[first]

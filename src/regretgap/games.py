@@ -19,6 +19,7 @@ across platforms for a fixed seed.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -150,8 +151,7 @@ class MarkovGame:
 
     def component_stride(self, agent: int) -> int:
         """Joint-index step caused by incrementing agent's own action by one."""
-        counts = self.action_counts
-        return int(np.prod(counts[agent + 1:], dtype=np.int64)) if agent + 1 < len(counts) else 1
+        return math.prod(self.action_counts[agent + 1:])
 
     def state_index(self, state) -> int:
         return _name_or_index(state, self.states, "state")
@@ -415,22 +415,31 @@ def _shift(game: MarkovGame, agent: int, maps: np.ndarray) -> np.ndarray:
 
 def _push(shift: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Move each cell's mass of ``table``, broadcast to ``shift``, by its shift."""
-    flat = (shift + np.arange(shift.size).reshape(shift.shape)).ravel()
-    weights = np.broadcast_to(table, shift.shape).ravel()
-    return np.bincount(flat, weights=weights, minlength=shift.size).reshape(shift.shape)
+    return _pusher(shift)(table)
 
 
-def _push_index(game: MarkovGame, deviations: Sequence[Deviation], steps: bool = False) -> np.ndarray:
-    """Shifts of K deviations of any agents, built once: ``_push(index, table)``
+def _pusher(shift: np.ndarray):
+    """``_push(shift, .)`` with the flat bincount targets built once."""
+    targets = (shift + np.arange(shift.size).reshape(shift.shape)).ravel()
+
+    def push(table: np.ndarray) -> np.ndarray:
+        # the table's cells once per leading cell of shift, as broadcasting lays them out
+        weights = table.reshape(1, -1).repeat(targets.size // table.size, axis=0).ravel()
+        return np.bincount(targets, weights=weights, minlength=targets.size).reshape(shift.shape)
+    return push
+
+
+def _push_index(game: MarkovGame, deviations: Sequence[Deviation], steps: bool = False):
+    """The push through K deviations of any agents, built once: ``push(table)``
     gives the K deviated tables, (K, S, A), or (K, H, S, A) when ``steps`` (a
     per-step table) or a deviation is time-indexed."""
     steps = steps or any(dev.time_indexed for dev in deviations)
     shape = (len(deviations),) + (game.horizon,) * steps + (game.n_states, game.n_joint_actions)
-    index = np.empty(shape, dtype=np.int64)
+    shift = np.empty(shape, dtype=np.int64)
     for k, dev in enumerate(deviations):
         dev.check_for(game)
-        index[k] = _shift(game, dev.agent, dev.table)
-    return index
+        shift[k] = _shift(game, dev.agent, dev.table)
+    return _pusher(shift)
 
 
 def induced_joint_policy(game: MarkovGame, sigma: MediatorPolicy, deviation: Deviation) -> MediatorPolicy:
@@ -470,7 +479,7 @@ def policy_tables(game: MarkovGame, policy) -> np.ndarray:
 def induced_tables(game: MarkovGame, policy, deviation: Deviation) -> np.ndarray:
     """Per-step (H, S, A) tables of the deviated joint behavior."""
     arr = _policy_array(game, policy)
-    return policy_tables(game, _push(_push_index(game, [deviation], arr.ndim == 3), arr)[0])
+    return policy_tables(game, _push_index(game, [deviation], arr.ndim == 3)(arr)[0])
 
 
 # ---------------------------------------------------------------------------

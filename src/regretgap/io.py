@@ -121,15 +121,23 @@ def _json_int(data: dict, field: str) -> int:
 
 
 def game_from_dict(data: dict) -> MarkovGame:
+    states, actions = data["states"], data["actions"]
+    if not isinstance(states, list):
+        raise ValueError(f"states must be a JSON list of names, got {states!r}")
+    if not (isinstance(actions, list) and all(isinstance(a, list) for a in actions)):
+        raise ValueError(f"actions must be a JSON list of per-agent name lists, got {actions!r}")
+    reward_bound = data.get("reward_bound", 1.0)
+    if type(reward_bound) not in (int, float):     # a bool is an int, but not a JSON number
+        raise ValueError(f"reward_bound must be a JSON number, got {reward_bound!r}")
     return MarkovGame(
         horizon=_json_int(data, "horizon"),
         num_agents=_json_int(data, "num_agents"),
-        states=tuple(data["states"]),
-        actions=tuple(tuple(a) for a in data["actions"]),
+        states=tuple(states),
+        actions=tuple(tuple(a) for a in actions),
         transition=_unpack(data["transitions"], "transitions"),
         rewards=_unpack(data["rewards"], "rewards"),
         initial_dist=_unpack(data["initial_dist"], "initial_dist"),
-        reward_bound=float(data.get("reward_bound", 1.0)),
+        reward_bound=float(reward_bound),
     )
 
 

@@ -29,15 +29,14 @@ from .games import (
     DeviationClass,
     MarkovGame,
     MediatorPolicy,
-    _push,
     _push_index,
 )
 from .losses import (
     SUPPORT_TOL,
     CompositeMaxLoss,
     OCOConfig,
+    _malice_builder,
     blades_components,
-    malice_components,
     oco_run,
 )
 
@@ -129,9 +128,10 @@ def j_bc(game: MarkovGame, demos: DemonstrationSet | None = None,
 
     * 'uniform' - uniform over joint actions (default)
     * 'copy-expert' - diagnostic: copy the expert row (needs ``expert``)
-    * 'adversarial-worst-case' - greedy per-state search over one-hot rows
-      maximizing the deviation regret of the filled policy, realizing the
-      worst learner consistent with the data
+    * 'adversarial-worst-case' - greedy over one-hot rows, one unvisited
+      state at a time, each keeping the regret-maximizing row given those
+      before it; not the worst learner consistent with the data, since an
+      exhaustive one-hot search can find more and the worst need not be one-hot
     """
     S, A = game.n_states, game.n_joint_actions
     if expert is not None:
@@ -296,12 +296,13 @@ def j_irl(game: MarkovGame, expert: MediatorPolicy, rounds: int,
 
 
 def _train(game: MarkovGame, deviations: DeviationClass, config: TrainConfig,
-           init: MediatorPolicy | None, build_loss) -> TrainResult:
+           init: MediatorPolicy | None, loss_for) -> TrainResult:
     """The no-regret reduction shared by malice_train and blades_train.
 
-    Each round computes the state density of the current iterate under
-    every listed deviation (exactly: one push and one forward DP for all of
-    them) and takes one OCO step on ``build_loss(dists, labels,
+    The push through every listed deviation and ``build = loss_for(labels)``
+    are made once per run.  Each round computes the state density of the
+    current iterate under every deviation (exactly: one push and one forward
+    DP for all of them) and takes one OCO step on ``build(dists,
     round_index)``.  In 'mc' mode every iterate is then rescored on a
     held-out fresh sample of the same size, with ``round_index`` None, and
     the best rescored one is returned.
@@ -310,30 +311,28 @@ def _train(game: MarkovGame, deviations: DeviationClass, config: TrainConfig,
         raise ValueError("training needs an explicit, finite deviation class")
     pairs = [(i, dev.label or f"a{i}/dev{k}", dev) for i in range(deviations.num_agents)
              for k, dev in enumerate(deviations.explicit_for(i))]
-    labels = [lab for _, lab, _ in pairs]
-    index = _push_index(game, [dev for _, _, dev in pairs])
+    build = loss_for([lab for _, lab, _ in pairs])
+    push = _push_index(game, [dev for _, _, dev in pairs])
     rng = np.random.default_rng(config.seed)
 
     def densities(sigma: np.ndarray, rng) -> np.ndarray:
-        tables = _push(index, sigma)
-        if config.density_mode == "exact":
-            return _forward(game, tables).mean(axis=1)
+        tables = push(sigma)
+        if config.density_mode == "exact":   # mean(axis=1), bit for bit, without its wrapper
+            return np.add.reduce(_forward(game, tables), axis=1) / game.horizon
         return np.array([state_density(game, t, config.density_mode, config.mc_samples, rng)
                          for t in tables])
 
-    run = oco_run(lambda n, sigma: build_loss(densities(sigma, rng), labels, n),
+    run = oco_run(lambda n, sigma: build(densities(sigma, rng), n),
                   (game.n_states, game.n_joint_actions), OCOConfig(config.rounds, config.rule),
                   init=None if init is None else init.table)
     best, final = run.best_round, float(run.losses[run.best_round])
     if config.density_mode == "mc":
         val_rng = np.random.default_rng(config.seed + 1)
-        val = np.array([build_loss(densities(t, val_rng), labels, None).value(t)
-                        for t in run.tables])
+        val = np.array([build(densities(t, val_rng), None).value(t) for t in run.tables])
         best, final = int(np.argmin(val)), float(val.min())
     trace = tuple(
-        TraceRow(n + 1, float(run.losses[n]), pairs[run.achieving[n]][0],
-                 pairs[run.achieving[n]][1], float(run.step_sizes[n]))
-        for n in range(run.tables.shape[0])
+        TraceRow(n + 1, loss, pairs[k][0], pairs[k][1], step) for n, (loss, k, step) in
+        enumerate(zip(run.losses.tolist(), run.achieving.tolist(), run.step_sizes.tolist()))
     )
     return TrainResult(policy=MediatorPolicy(run.tables[best]), trace=trace,
                        final_loss=final, best_round=best + 1)
@@ -361,7 +360,7 @@ def malice_train(game: MarkovGame, expert: MediatorPolicy, deviations: Deviation
                              n_samples=config.mc_samples,
                              rng=np.random.default_rng(config.seed) if config.density_mode == "mc" else None)
     return _train(game, deviations, config, init,
-                  lambda dists, labels, n: malice_components(expert, d_expert, dists, labels=labels))
+                  lambda labels: _malice_builder(expert, d_expert, labels))
 
 
 def blades_train(game: MarkovGame, oracle: ExpertOracle, demos: DemonstrationSet,
@@ -385,13 +384,14 @@ def blades_train(game: MarkovGame, oracle: ExpertOracle, demos: DemonstrationSet
         init = j_bc(game, demos=demos, fill_rule="uniform")
     rows = np.full((game.n_states, oracle.n_joint_actions), 1.0 / oracle.n_joint_actions)
 
-    def build_loss(dists, labels, n):
+    def build(dists, n):
         if n is None:
             return CompositeMaxLoss(dists, rows)
-        loss = blades_components(oracle, dists, labels=labels, round_index=n)
-        queried = (dists > SUPPORT_TOL).any(axis=0)
-        rows[queried] = loss.target[queried]
+        loss = blades_components(oracle, dists, round_index=n)
+        if config.density_mode == "mc":     # only the mc validation pass reads rows
+            queried = (dists > SUPPORT_TOL).any(axis=0)
+            rows[queried] = loss.target[queried]
         return loss
 
-    res = _train(game, deviations, config, init, build_loss)
+    res = _train(game, deviations, config, init, lambda labels: build)
     return replace(res, query_count=oracle.query_count, query_log=tuple(oracle.query_log))

@@ -102,17 +102,26 @@ def malice_components(expert, d_expert: np.ndarray, deviated_dists: Sequence[np.
     form requires expert coverage of every deviated state and fails loudly
     without it.
     """
-    t = _table(expert)
     dists = np.asarray(deviated_dists, dtype=np.float64).reshape(-1, np.size(d_expert))
-    labels = _labels(labels, len(dists))
-    bad = (dists > SUPPORT_TOL) & (np.asarray(d_expert, dtype=np.float64) <= SUPPORT_TOL)
-    if bad.any():
-        k = int(bad.any(axis=1).argmax())
-        raise CoverageError(
-            f"deviated distribution {labels[k]!r} puts mass on states the expert never "
-            f"visits (states {np.nonzero(bad[k])[0].tolist()}); importance weights undefined"
-        )
-    return CompositeMaxLoss(dists, t)
+    return _malice_builder(expert, d_expert, _labels(labels, len(dists)))(dists)
+
+
+def _malice_builder(expert, d_expert: np.ndarray, labels: list):
+    """``malice_components`` as a function of the (K, S) deviated distributions,
+    with the states the expert never visits found once; MALICE queries no
+    oracle, so ``round_index`` goes unused."""
+    t = _table(expert)
+    unvisited = np.nonzero(np.asarray(d_expert, dtype=np.float64) <= SUPPORT_TOL)[0]
+
+    def build(dists: np.ndarray, round_index: int | None = None) -> CompositeMaxLoss:
+        if unvisited.size and (bad := dists[:, unvisited] > SUPPORT_TOL).any():
+            k = int(bad.any(axis=1).argmax())
+            raise CoverageError(
+                f"deviated distribution {labels[k]!r} puts mass on states the expert never "
+                f"visits (states {unvisited[bad[k]].tolist()}); importance weights undefined"
+            )
+        return CompositeMaxLoss(dists, t)
+    return build
 
 
 def malice_loss(expert, policy, d_expert: np.ndarray, deviated_dists: Sequence[np.ndarray]) -> float:
@@ -129,12 +138,13 @@ def blades_components(oracle, deviated_dists: Sequence[np.ndarray],
     left uniform.
     """
     dists = np.asarray(deviated_dists, dtype=np.float64)
-    _labels(labels, len(dists))
+    if labels is not None:      # only checked: no message here names a component
+        _labels(labels, len(dists))
     support = (dists > SUPPORT_TOL).any(axis=0)
     n_actions = oracle.n_joint_actions
     target = np.full((support.shape[0], n_actions), 1.0 / n_actions)
-    for s in np.nonzero(support)[0]:
-        target[s] = oracle.query(int(s), round_index=round_index)
+    for s in np.flatnonzero(support).tolist():
+        target[s] = oracle.query(s, round_index=round_index)
     return CompositeMaxLoss(dists, target)
 
 
@@ -202,23 +212,20 @@ def oco_run(loss_builder: Callable[[int, np.ndarray], CompositeMaxLoss],
     """
     S, A = shape
     sigma = np.full((S, A), 1.0 / A) if init is None else np.asarray(init, dtype=np.float64).copy()
-    log_a = np.log(max(A, 2))
     N = config.rounds
     tables = np.empty((N, S, A))
     losses = np.empty(N)
     achieving = np.empty(N, dtype=np.int64)
-    steps = np.empty(N)
+    steps = np.sqrt(np.log(max(A, 2)) / np.arange(1, N + 1))
     agg_weight = np.zeros(S)
     agg_target = np.zeros((S, A))
-    for n in range(1, N + 1):
+    for n, step in enumerate(steps.tolist(), start=1):
         loss = loss_builder(n, sigma)
         tables[n - 1] = sigma
         vals = loss.component_values(sigma)
-        k = int(np.argmax(vals))
+        k = int(vals.argmax())
         achieving[n - 1] = k
         losses[n - 1] = float(vals[k])
-        step = float(np.sqrt(log_a / n))
-        steps[n - 1] = step
         if config.rule in ("eg", "pgd"):
             g = loss.component_subgradient(k, sigma)
             if config.rule == "eg":

@@ -9,9 +9,13 @@ The best response keeps its own reference, the two-matvec DP it ran before
 it became two rows of the batched backward DP; its maps must agree exactly.
 
 The learner rounds have references of their own: one TV row per loss
-component, and the j_irl loop that rebuilt the expert occupancy and two
+component, the MALICE/BLADES round that rebuilt its push and its loss
+every round, and the j_irl loop that rebuilt the expert occupancy and two
 occupancy bundles every round.  Those must agree bitwise.
 """
+
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,19 +25,24 @@ from hypothesis import strategies as st
 from regretgap import (
     COMPLETE,
     CompositeMaxLoss,
+    CoverageError,
     Deviation,
     DeviationClass,
     ExpertOracle,
     MediatorPolicy,
+    OCOConfig,
     TrainConfig,
+    TrainResult,
     best_response_deviation,
     blades_train,
     evaluate_pair,
+    j_bc,
     j_irl,
     malice_train,
     moment_matching_error,
     moment_recoverability_constant,
     occupancy_bundle,
+    oco_run,
     recoverability_constant,
     regret_gap,
     regret_report,
@@ -45,8 +54,10 @@ from regretgap import (
 from regretgap import evaluate, games, learners
 from regretgap.fixtures import (alice_lb_game, coverage_lb_game, fig1_game, random_deviation_class,
                                 random_mg)
-from regretgap.games import _push, _push_index, _shift, policy_tables
+from regretgap.games import _push_index, _shift, policy_tables
 from regretgap.harness import property_suite_games
+from regretgap.evaluate import state_density
+from regretgap.learners import TraceRow
 from regretgap.losses import SUPPORT_TOL, _table, tv_rows
 
 TOL = 1e-12
@@ -57,11 +68,19 @@ TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
+def ref_push(shift, table):
+    """The push that built its flat targets and broadcast its weights on
+    every call."""
+    flat = (shift + np.arange(shift.size).reshape(shift.shape)).ravel()
+    weights = np.broadcast_to(table, shift.shape).ravel()
+    return np.bincount(flat, weights=weights, minlength=shift.size).reshape(shift.shape)
+
+
 def ref_induced(game, policy, dev):
     tables = policy_tables(game, policy)
     out = np.empty_like(tables)
     for h in range(game.horizon):
-        out[h] = _push(_shift(game, dev.agent, dev.table[h] if dev.time_indexed else dev.table),
+        out[h] = ref_push(_shift(game, dev.agent, dev.table[h] if dev.time_indexed else dev.table),
                        tables[h])
     return out
 
@@ -234,6 +253,86 @@ def ref_j_irl(game, expert, rounds, policy_player="exact-br", temperature=1.0,
     return tuple(errors), best_round, len(errors), best_table
 
 
+def ref_malice_components(expert, d_expert, dists, labels):
+    """malice_components as every round built it, coverage mask included."""
+    bad = (dists > SUPPORT_TOL) & (d_expert <= SUPPORT_TOL)
+    if bad.any():
+        k = int(bad.any(axis=1).argmax())
+        raise CoverageError(
+            f"deviated distribution {labels[k]!r} puts mass on states the expert never "
+            f"visits (states {np.nonzero(bad[k])[0].tolist()}); importance weights undefined"
+        )
+    return CompositeMaxLoss(dists, expert.table)
+
+
+def ref_blades_components(oracle, dists, round_index):
+    """blades_components as every round built it."""
+    support = (dists > SUPPORT_TOL).any(axis=0)
+    A = oracle.n_joint_actions
+    target = np.full((support.shape[0], A), 1.0 / A)
+    for s in np.nonzero(support)[0]:
+        target[s] = oracle.query(int(s), round_index=round_index)
+    return CompositeMaxLoss(dists, target)
+
+
+def ref_train(algo, game, expert, deviations, config, demos):
+    """malice_train or blades_train with the round before the rework: the
+    push built its targets every call, each density was a .mean(axis=1),
+    the loss was built from scratch every round, and blades kept its
+    validation rows in every density mode.  Returns (OCORun, TrainResult)."""
+    pairs = [(i, dev.label or f"a{i}/dev{k}", dev) for i in range(deviations.num_agents)
+             for k, dev in enumerate(deviations.explicit_for(i))]
+    labels = [lab for _, lab, _ in pairs]
+    steps = any(dev.time_indexed for _, _, dev in pairs)
+    S, A = game.n_states, game.n_joint_actions
+    shift = np.empty((len(pairs),) + (game.horizon,) * steps + (S, A), dtype=np.int64)
+    for k, (_, _, dev) in enumerate(pairs):
+        shift[k] = _shift(game, dev.agent, dev.table)
+    mc = config.density_mode == "mc"
+    oracle, init = None, None
+    if algo == "malice":
+        d_expert = state_density(game, expert, config.density_mode, config.mc_samples,
+                                 np.random.default_rng(config.seed) if mc else None)
+
+        def build_loss(dists, n):
+            return ref_malice_components(expert, d_expert, dists, labels)
+    else:
+        oracle = ExpertOracle(expert)
+        init = j_bc(game, demos=demos).table
+        rows = np.full((S, A), 1.0 / A)
+
+        def build_loss(dists, n):
+            if n is None:
+                return CompositeMaxLoss(dists, rows)
+            loss = ref_blades_components(oracle, dists, n)
+            queried = (dists > SUPPORT_TOL).any(axis=0)
+            rows[queried] = loss.target[queried]
+            return loss
+
+    def densities(sigma, rng):
+        tables = ref_push(shift, sigma)
+        if not mc:
+            return evaluate._forward(game, tables).mean(axis=1)
+        return np.array([state_density(game, t, "mc", config.mc_samples, rng) for t in tables])
+
+    rng = np.random.default_rng(config.seed)
+    run = oco_run(lambda n, sigma: build_loss(densities(sigma, rng), n), (S, A),
+                  OCOConfig(config.rounds, config.rule), init=init)
+    best, final = run.best_round, float(run.losses[run.best_round])
+    if mc:
+        val_rng = np.random.default_rng(config.seed + 1)
+        val = np.array([build_loss(densities(t, val_rng), None).value(t) for t in run.tables])
+        best, final = int(np.argmin(val)), float(val.min())
+    log_a = np.log(max(A, 2))
+    trace = tuple(
+        TraceRow(n + 1, float(run.losses[n]), pairs[run.achieving[n]][0],
+                 pairs[run.achieving[n]][1], float(np.sqrt(log_a / (n + 1))))
+        for n in range(config.rounds)
+    )
+    queries = (0, ()) if oracle is None else (oracle.query_count, tuple(oracle.query_log))
+    return run, TrainResult(MediatorPolicy(run.tables[best]), trace, final, best + 1, *queries)
+
+
 # ---------------------------------------------------------------------------
 # Random instances: m <= 3, time-indexed, duplicate and identity maps
 # ---------------------------------------------------------------------------
@@ -319,7 +418,7 @@ def test_batched_core_matches_per_deviation_reference(seed):
     devs = [d for i in range(game.num_agents) if not deviations.is_complete(i)
             for d in deviations.explicit_for(i)]
     if devs:
-        tables = _push(_push_index(game, devs), sigma.table)
+        tables = _push_index(game, devs)(sigma.table)
         dists = evaluate._forward(game, tables)
         for k, dev in enumerate(devs):
             np.testing.assert_array_equal(policy_tables(game, tables[k]),
@@ -477,6 +576,79 @@ def test_training_trajectories_match_reference(algo, monkeypatch):
         assert new.best_round == ref.best_round
         assert new.query_count == ref.query_count
         assert new.final_loss == pytest.approx(ref.final_loss, abs=TOL)
+
+
+TRAIN_VARIANTS = {
+    "eg": TrainConfig(rounds=100),
+    "pgd": TrainConfig(rounds=50, rule="pgd"),
+    "ftl": TrainConfig(rounds=50, rule="ftl"),
+    "mc": TrainConfig(rounds=5, density_mode="mc", mc_samples=100),
+    # 5 samples leave a state of one of the 10 games unseen by the expert: a MALICE CoverageError
+    "mc-sparse": TrainConfig(rounds=5, density_mode="mc", mc_samples=5),
+}
+
+
+def train_new(algo, game, expert, deviations, config, demos):
+    if algo == "malice":
+        return malice_train(game, expert, deviations, config)
+    return blades_train(game, ExpertOracle(expert), demos, deviations, config)
+
+
+@pytest.mark.parametrize("variant", TRAIN_VARIANTS)
+@pytest.mark.parametrize("algo", ["malice", "blades"])
+def test_training_rounds_match_the_round_before_the_rework(algo, variant, monkeypatch):
+    """On the first 10 property-suite games, bitwise against ref_train: every
+    iterate, the trace, final loss, best round, query count and query log.
+    A run the reference stops with a CoverageError stops with its message."""
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(oco_run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(learners, "oco_run", spy)
+    completed = 0
+    for k, fx, phi in property_suite_games(10):
+        cfg = replace(TRAIN_VARIANTS[variant], seed=k)
+        demos = sample_demonstrations(fx.game, fx.expert, 200, seed=10_000 + k)
+        try:
+            ref_run, ref = ref_train(algo, fx.game, fx.expert, phi, cfg, demos)
+        except CoverageError as exc:
+            with pytest.raises(CoverageError, match=re.escape(str(exc))):
+                train_new(algo, fx.game, fx.expert, phi, cfg, demos)
+            continue
+        new = train_new(algo, fx.game, fx.expert, phi, cfg, demos)
+        assert runs[-1].tables.tobytes() == ref_run.tables.tobytes()
+        assert new.trace == ref.trace
+        assert np.array([r.loss for r in new.trace]).tobytes() == ref_run.losses.tobytes()
+        assert new.policy.table.tobytes() == ref.policy.table.tobytes()
+        assert (new.final_loss, new.best_round) == (ref.final_loss, ref.best_round)
+        assert (new.query_count, new.query_log) == (ref.query_count, ref.query_log)
+        completed += 1
+    assert completed >= 5
+
+
+def test_training_builds_its_push_once_and_runs_one_forward_dp_per_round(monkeypatch):
+    """Count the builds of the push targets and the learner's forward DPs:
+    one build per run, one DP per round."""
+    calls = {"_pusher": 0, "_forward": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(games, "_pusher")
+    counted(learners, "_forward")
+    _, fx, phi = property_suite_games(1)[0]
+    demos = sample_demonstrations(fx.game, fx.expert, 200, seed=1)
+    for algo in ("malice", "blades"):
+        calls.update(_pusher=0, _forward=0)
+        train_new(algo, fx.game, fx.expert, phi, TrainConfig(rounds=30), demos)
+        assert calls == {"_pusher": 1, "_forward": 30}
 
 
 JIRL_VARIANTS = {

@@ -209,6 +209,29 @@ class TestEval:
         assert rc == EXIT_USAGE
         assert f"error: {field} must be a JSON integer, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("field,value,message", [
+        ("reward_bound", True, "reward_bound must be a JSON number"),
+        ("reward_bound", "2.5", "reward_bound must be a JSON number"),
+        ("states", "abcdefg", "states must be a JSON list of names"),
+        ("actions", ["ab", "cd"], "actions must be a JSON list of per-agent name lists"),
+    ])
+    def test_header_field_of_the_wrong_json_type_exit_2(self, tmp_path, capsys, command,
+                                                        field, value, message):
+        # once read as 1.0, 2.5, seven one-letter states and one-letter actions
+        main(["gen", "--name", "fig1", "--horizon", "4", "--out", str(tmp_path)])
+        data = io.load_json(tmp_path / "game.json")
+        data[field] = value
+        (tmp_path / "game.json").write_text(json.dumps(data))
+        files = ["--game", str(tmp_path / "game.json"), "--expert", str(tmp_path / "expert.json")]
+        if command == "eval":
+            rc = main(["eval", *files, "--learner", str(tmp_path / "learner.json")])
+        else:
+            rc = main(["train", "--algo", "jbc", *files, "--out", str(tmp_path / "run")])
+        assert rc == EXIT_USAGE
+        assert f"error: {message}, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("field", ["states", "actions[1]"])
     def test_repeated_name_exit_2(self, fig1_files, capsys, field):
         # deviation files address states and actions by name, so a repeated
@@ -317,6 +340,21 @@ class TestTrain:
         summary = io.load_json(tmp_path / "run" / "summary.json")
         assert summary["final_loss"] == 0.0
         assert (tmp_path / "run" / "policy.json").exists()
+
+    def test_summary_names_the_deviation_class(self, tmp_path):
+        # without deviation files the class is the identities, so the regret gap is 0.0
+        main(["gen", "--name", "fig1", "--horizon", "4", "--out", str(tmp_path)])
+        files = ["--game", str(tmp_path / "game.json"), "--expert", str(tmp_path / "expert.json")]
+        assert main(["train", "--algo", "jbc", *files, "--out", str(tmp_path / "a")]) == EXIT_OK
+        summary = io.load_json(tmp_path / "a" / "summary.json")
+        assert (summary["deviation_class"], summary["regret_gap"]) == ("identities", 0.0)
+        (tmp_path / "swap.json").write_text((tmp_path / "deviation_0.json").read_text())
+        devs = ["--deviation-file", str(tmp_path / "deviation_0.json"),
+                "--deviation-file", str(tmp_path / "swap.json")]
+        assert main(["train", "--algo", "jbc", *files, *devs, "--out", str(tmp_path / "b")]) == EXIT_OK
+        summary = io.load_json(tmp_path / "b" / "summary.json")
+        assert summary["deviation_class"] == ["deviation_0", "swap"]
+        assert summary["regret_gap"] > 0.0
 
     def test_malice_zero_coverage_exit_3(self, tmp_path):
         main(["gen", "--name", "fig1", "--horizon", "5", "--out", str(tmp_path)])
