@@ -125,7 +125,7 @@ class MarkovGame:
     def n_joint_actions(self) -> int:
         return self.transition.shape[1]
 
-    @property
+    @cached_property
     def action_counts(self) -> tuple[int, ...]:
         return tuple(len(acts) for acts in self.actions)
 

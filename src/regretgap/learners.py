@@ -18,7 +18,6 @@ import numpy as np
 
 from .evaluate import (
     _forward,
-    coverage_constant,
     occupancy_bundle,
     regret,
     state_density,
@@ -180,27 +179,18 @@ def j_bc(game: MarkovGame, demos: DemonstrationSet | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _joint_policy(game: MarkovGame, reward_sa: np.ndarray,
-                  temperature: float | None = None) -> np.ndarray:
-    """Per-step optimizer of a shared reward on the joint MDP: deterministic
-    argmax without a temperature, else entropy-smoothed, pi_h(a|s)
-    proportional to exp(Q_h / tau)."""
-    H, S, A = game.horizon, game.n_states, game.n_joint_actions
-    tables = np.zeros((H, S, A))
-    v, states = np.zeros(S), np.arange(S)
+def _best_response(game: MarkovGame, reward_sa: np.ndarray) -> np.ndarray:
+    """Per-step greedy optimizer of a shared reward on the joint MDP: the
+    (H, S) argmax actions.  v_H = 0, so the last step's Q is the reward."""
+    H, S = game.horizon, game.n_states
+    best = np.empty((H, S), dtype=np.int64)
+    q, states = reward_sa, np.arange(S)
     for h in reversed(range(H)):
-        q = reward_sa + np.einsum("sax,x->sa", game.transition, v)
-        if temperature is None:
-            best = q.argmax(axis=1)
-            tables[h, states, best] = 1.0
-            v = q[states, best]
-        else:
-            z = q / float(temperature)
-            z -= z.max(axis=1, keepdims=True)
-            w = np.exp(z)
-            tables[h] = w / w.sum(axis=1, keepdims=True)
-            v = (tables[h] * q).sum(axis=1)
-    return tables
+        if h < H - 1:   # ties follow the einsum's rounding of T v; a gemv rounds otherwise
+            q = reward_sa + np.einsum("sax,x->sa", game.transition, v)
+        best[h] = q.argmax(axis=1)
+        v = q[states, best[h]]
+    return best
 
 
 def _stationarize(mass: np.ndarray, fallback_row: np.ndarray) -> np.ndarray:
@@ -229,19 +219,18 @@ class JIRLResult:
 
 
 def j_irl(game: MarkovGame, expert: MediatorPolicy, rounds: int,
-          policy_player: str = "exact-br", temperature: float = 1.0,
-          regularizer_weight: float = 0.0, init: MediatorPolicy | None = None,
-          tol: float = 1e-9) -> JIRLResult:
+          init: MediatorPolicy | None = None, tol: float = 1e-9) -> JIRLResult:
     """Adversarial moment matching between expert and learner occupancies.
 
     Round n: the reward player picks the worst-case reward for the uniform
-    mixture of iterates so far, f = sign(rho_expert - rho_mixture) (with an
-    optional quadratic shrinkage that clips instead of hard-signing); the
-    policy player best-responds on the joint-action MDP, exactly or by soft
-    value iteration at the given temperature.  The mixture's per-step flows
-    are distilled into a stationary candidate each round, scored by its
-    exact occupancy distance to the expert, and the first best candidate
-    wins; the run stops once it is within ``tol``.
+    mixture of iterates so far, f = sign(rho_expert - rho_mixture); the
+    policy player best-responds exactly on the joint-action MDP with a
+    deterministic per-step policy, kept as its (H, S) argmax actions, so
+    the play's forward DP multiplies d_h by the chosen rows T[s, a_h(s), :]
+    and its flows go into the mixture by one scatter-add.  The mixture's
+    per-step flows are distilled into a stationary candidate each round,
+    scored by its exact occupancy distance to the expert, and the first
+    best candidate wins; the run stops once it is within ``tol``.
 
     The recurrence never reads a candidate, so candidates are scored in
     blocks of 1, 2, 4, ... up to 64 rounds (fewer on large games) with one
@@ -249,15 +238,19 @@ def j_irl(game: MarkovGame, expert: MediatorPolicy, rounds: int,
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    if policy_player not in ("exact-br", "soft-vi"):
-        raise ValueError(f"unknown policy player {policy_player!r}")
     H, S, A = game.horizon, game.n_states, game.n_joint_actions
     rho_expert = occupancy_bundle(game, expert).avg_joint
     current = (init if init is not None else MediatorPolicy.uniform(game))
     mix_sum = occupancy_bundle(game, current).per_step_joint.copy()
+    T2 = game.transition.reshape(S * A, S)         # row s A + a is T[s, a, :]
+    first = np.arange(S) * A
+    flows = mix_sum.reshape(-1)                     # a view, (h, s, a) at h S A + s A + a
+    step_at = np.arange(H)[:, None] * (S * A)
     uniform_row = np.full(A, 1.0 / A)
     cap = max(1, min(_MAX_BLOCK, _BLOCK_FLOATS // (S * S + H * S + 4 * S * A)))
     masses = np.empty((cap, S, A))     # each round's mixture flows summed over steps
+    play = np.empty((H, 1, S))         # the new play's d_h, each step one (1, S) @ (S, S)
+    play[0, 0] = game.initial_dist
     errors: list[float] = []
     best_err, best_table, best_round = np.inf, None, 0
     n, size = 0, 1
@@ -267,12 +260,11 @@ def j_irl(game: MarkovGame, expert: MediatorPolicy, rounds: int,
             n += 1
             masses[k] = (mix_sum / n).sum(axis=0)
             residual = rho_expert - masses[k] / H       # the mixture's mean over steps
-            if regularizer_weight > 0:
-                f = np.clip(residual / (2.0 * regularizer_weight), -1.0, 1.0)
-            else:
-                f = np.sign(residual)
-            new_tables = _joint_policy(game, f, None if policy_player == "exact-br" else temperature)
-            mix_sum += _forward(game, new_tables[None])[0][:, :, None] * new_tables
+            best = _best_response(game, np.sign(residual))
+            rows = first + best                         # T2's rows T[s, a_h(s), :]
+            for h in range(H - 1):
+                play[h + 1] = play[h] @ T2.take(rows[h], axis=0)
+            flows[step_at + rows] += play[:, 0]
         cands = _stationarize(masses[:block], uniform_row)
         d = _forward(game, cands)[..., None]
         rho = d[:, 0] * cands           # summed over steps in order, as mean(axis=1) sums
@@ -350,15 +342,16 @@ def malice_train(game: MarkovGame, expert: MediatorPolicy, deviations: Deviation
     self-consistent loss (its own round's loss at itself) is returned.
     """
     config = config or TrainConfig()
-    beta = coverage_constant(game, expert)
+    d_expert = occupancy_bundle(game, expert).avg_state
+    beta = d_expert.min()         # coverage_constant without a second forward DP
     if beta <= 0.0:
         raise CoverageError(
             "expert leaves some state unvisited (coverage constant is 0); "
             "importance weights are undefined"
         )
-    d_expert = state_density(game, expert, mode=config.density_mode,
-                             n_samples=config.mc_samples,
-                             rng=np.random.default_rng(config.seed) if config.density_mode == "mc" else None)
+    if config.density_mode != "exact":
+        d_expert = state_density(game, expert, mode=config.density_mode, n_samples=config.mc_samples,
+                                 rng=np.random.default_rng(config.seed))
     return _train(game, deviations, config, init,
                   lambda labels: _malice_builder(expert, d_expert, labels))
 

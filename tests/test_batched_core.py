@@ -224,10 +224,24 @@ def ref_stationarize(per_step_joint, fallback_row):
     return table
 
 
-def ref_j_irl(game, expert, rounds, policy_player="exact-br", temperature=1.0,
-              regularizer_weight=0.0, init=None, tol=1e-9):
+def ref_greedy_tables(game, reward_sa):
+    """The greedy per-step optimizer of a shared reward as one-hot (H, S, A)
+    tables, one einsum and one argmax per step."""
+    H, S, A = game.horizon, game.n_states, game.n_joint_actions
+    tables = np.zeros((H, S, A))
+    v, states = np.zeros(S), np.arange(S)
+    for h in reversed(range(H)):
+        q = reward_sa + np.einsum("sax,x->sa", game.transition, v)
+        best = q.argmax(axis=1)
+        tables[h, states, best] = 1.0
+        v = q[states, best]
+    return tables
+
+
+def ref_j_irl(game, expert, rounds, init=None, tol=1e-9):
     """The j_irl loop that rebuilt the expert occupancy and two occupancy
-    bundles every round; returns (errors, best_round, rounds_run, table)."""
+    bundles every round and played one-hot tables; returns (errors,
+    best_round, rounds_run, table)."""
     rho_expert = occupancy_bundle(game, expert).avg_joint
     current = init if init is not None else MediatorPolicy.uniform(game)
     mix_sum = occupancy_bundle(game, current).per_step_joint.copy()
@@ -243,12 +257,7 @@ def ref_j_irl(game, expert, rounds, policy_player="exact-br", temperature=1.0,
         if best_err <= tol:
             break
         residual = rho_expert - (mix_sum / n).mean(axis=0)
-        if regularizer_weight > 0:
-            f = np.clip(residual / (2.0 * regularizer_weight), -1.0, 1.0)
-        else:
-            f = np.sign(residual)
-        tau = None if policy_player == "exact-br" else temperature
-        new_tables = learners._joint_policy(game, f, tau)
+        new_tables = ref_greedy_tables(game, np.sign(residual))
         mix_sum += occupancy_bundle(game, new_tables).per_step_joint
     return tuple(errors), best_round, len(errors), best_table
 
@@ -651,14 +660,7 @@ def test_training_builds_its_push_once_and_runs_one_forward_dp_per_round(monkeyp
         assert calls == {"_pusher": 1, "_forward": 30}
 
 
-JIRL_VARIANTS = {
-    "exact-br": {},
-    "soft-vi": {"policy_player": "soft-vi", "temperature": 0.5},
-    "regularized": {"regularizer_weight": 0.05},
-}
-
-
-@pytest.mark.parametrize("variant", [*JIRL_VARIANTS, "init", "init-expert"])
+@pytest.mark.parametrize("variant", ["exact-br", "init", "init-expert"])
 def test_j_irl_matches_reference_loop(variant):
     """j_irl against the loop that rebuilt every occupancy each round,
     bitwise, on the first 10 property-suite games and coverage_lb_game."""
@@ -666,15 +668,14 @@ def test_j_irl_matches_reference_loop(variant):
     cov = coverage_lb_game()
     cases.append((cov.game, cov.expert))
     for c, (game, expert) in enumerate(cases):
-        kwargs = dict(JIRL_VARIANTS.get(variant, {}))
+        init = None
         if variant == "init":
             rng = np.random.default_rng(c)
-            kwargs["init"] = MediatorPolicy(rng.dirichlet(np.ones(game.n_joint_actions),
-                                                          size=game.n_states))
+            init = MediatorPolicy(rng.dirichlet(np.ones(game.n_joint_actions), size=game.n_states))
         elif variant == "init-expert":
-            kwargs["init"] = expert
-        res = j_irl(game, expert, rounds=100, **kwargs)
-        errors, best_round, rounds_run, table = ref_j_irl(game, expert, 100, **kwargs)
+            init = expert
+        res = j_irl(game, expert, rounds=100, init=init)
+        errors, best_round, rounds_run, table = ref_j_irl(game, expert, 100, init=init)
         assert res.errors == errors
         assert (res.best_round, res.rounds_run) == (best_round, rounds_run)
         np.testing.assert_array_equal(res.policy.table, table)
@@ -682,24 +683,40 @@ def test_j_irl_matches_reference_loop(variant):
             assert rounds_run == 1      # the early stop ran
 
 
-@pytest.mark.parametrize("player", ["exact-br", "soft-vi"])
-def test_j_irl_block_edges_match_reference_loop(player):
+def test_j_irl_block_edges_match_reference_loop():
     """j_irl scores candidates in blocks of 1, 2, 4, ... 64 rounds; every
     block edge and an early stop inside a block (rounds 6 and 70 or 71 on
     this game) match the reference loop bitwise."""
     _, fx, _ = property_suite_games(5)[4]
-    kwargs = {"policy_player": player, "temperature": 0.5}
-    full = ref_j_irl(fx.game, fx.expert, 200, **kwargs)[0]
+    full = ref_j_irl(fx.game, fx.expert, 200)[0]
     cases = [(r, 1e-9) for r in (1, 2, 3, 4, 63, 64, 65, 128, 129, 200)]
     cases += [(200, full[5]), (200, full[70])]
     for rounds, tol in cases:
-        res = j_irl(fx.game, fx.expert, rounds=rounds, tol=tol, **kwargs)
-        errors, best_round, rounds_run, table = ref_j_irl(fx.game, fx.expert, rounds, tol=tol, **kwargs)
+        res = j_irl(fx.game, fx.expert, rounds=rounds, tol=tol)
+        errors, best_round, rounds_run, table = ref_j_irl(fx.game, fx.expert, rounds, tol=tol)
         assert res.errors == errors
         assert (res.best_round, res.rounds_run) == (best_round, rounds_run)
         np.testing.assert_array_equal(res.policy.table, table)
         if tol > 1e-9:      # the stop is not the last round of a block (1, 3, 7, ... 127)
             assert rounds_run < 200 and (rounds_run + 1) & rounds_run
+
+
+@pytest.mark.parametrize("with_init", [False, True])
+def test_j_irl_matches_reference_loop_at_the_desk_cap(with_init):
+    """200 states, 6x6 joint actions, H 10: the play's forward DP through
+    the gathered rows T[s, a_h(s), :] rounds as the one-hot kernel DP did,
+    so a few rounds match the reference loop bitwise."""
+    fx = random_mg(13, n_states=200, horizon=10, action_counts=(6, 6))
+    init = None
+    if with_init:
+        rng = np.random.default_rng(13)
+        init = MediatorPolicy(rng.dirichlet(np.ones(fx.game.n_joint_actions), size=fx.game.n_states))
+    res = j_irl(fx.game, fx.expert, rounds=6, init=init)
+    errors, best_round, rounds_run, table = ref_j_irl(fx.game, fx.expert, 6, init=init)
+    assert res.errors == errors
+    assert (res.best_round, res.rounds_run) == (best_round, rounds_run)
+    assert rounds_run == 6
+    np.testing.assert_array_equal(res.policy.table, table)
 
 
 def test_j_irl_memory_stays_bounded_at_the_desk_cap():

@@ -141,13 +141,6 @@ class TestJIRL:
         best = np.minimum.accumulate(res.errors)
         assert (np.diff(best) <= 1e-15).all()
 
-    def test_soft_policy_player_also_converges(self):
-        fx = random_mg(9, n_states=3, horizon=3, common_payoff=True,
-                       full_coverage_expert=True)
-        res = j_irl(fx.game, fx.expert, rounds=400, policy_player="soft-vi",
-                    temperature=0.05)
-        assert res.final_error <= 0.1
-
 
 class TestMaliceTrain:
     def test_expert_start_stays_at_zero_loss(self):
