@@ -71,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "through densities, demonstrations, or oracle queries")
     p_train.add_argument("--deviation-file", action="append", default=[])
     p_train.add_argument("--rounds", type=int, default=500)
-    p_train.add_argument("--demos", type=int, default=200)
+    p_train.add_argument("--demos", type=int, default=None, help="blades only (default 200)")
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--fill-rule", default="uniform",
+    p_train.add_argument("--fill-rule", default=None, help="jbc only (default uniform)",
                          choices=("uniform", "copy-expert", "adversarial-worst-case"))
     p_train.add_argument("--out", required=True)
     p_train.set_defaults(run=_cmd_train)
@@ -150,11 +150,7 @@ def _load_inputs(args, *policy_args):
 
 
 def _explicit_class(game, paths) -> DeviationClass:
-    per_agent = [[] for _ in range(game.num_agents)]
-    for path in paths:
-        dev = io.load_deviation(path, game)
-        per_agent[dev.agent].append(dev)
-    return DeviationClass.explicit(game, per_agent)
+    return DeviationClass.explicit(game, [io.load_deviation(path, game) for path in paths])
 
 
 def _cmd_eval(args) -> int:
@@ -188,6 +184,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    unread = (("--fill-rule", args.fill_rule, "jbc"), ("--demos", args.demos, "blades"))
+    for flag, value, algo in unread:
+        if value is not None and args.algo != algo:
+            raise ValueError(f"{flag} is read only with --algo {algo}")
     loaded = _load_inputs(args, "expert")
     if loaded is None:
         return EXIT_CHECK_FAILED
@@ -203,7 +203,7 @@ def _cmd_train(args) -> int:
                      [Path(p).stem for p in args.deviation_file] or "identities"}
     trace = ()
     if args.algo == "jbc":
-        policy = j_bc(game, expert=expert, fill_rule=args.fill_rule, deviations=phi)
+        policy = j_bc(game, expert=expert, fill_rule=args.fill_rule or "uniform", deviations=phi)
         summary["final_loss"] = weighted_tv_loss(expert, policy,
                                                  occupancy_bundle(game, expert).avg_state)
     elif args.algo == "jirl":
@@ -215,7 +215,8 @@ def _cmd_train(args) -> int:
         if args.algo == "malice":
             res = malice_train(game, expert, phi, cfg)
         else:
-            demos = sample_demonstrations(game, expert, args.demos, seed=args.seed)
+            demos = sample_demonstrations(game, expert, 200 if args.demos is None else args.demos,
+                                          seed=args.seed)
             res = blades_train(game, ExpertOracle(expert), demos, phi, cfg)
         policy, trace = res.policy, res.trace
         summary.update(final_loss=res.final_loss, best_round=res.best_round)

@@ -47,10 +47,7 @@ class Fixture:
 
     def witness_class(self) -> DeviationClass:
         """Explicit class holding the witness deviations plus identities."""
-        per_agent = [[] for _ in range(self.game.num_agents)]
-        for dev in self.witness_deviations:
-            per_agent[dev.agent].append(dev)
-        return DeviationClass.explicit(self.game, per_agent)
+        return DeviationClass.explicit(self.game, self.witness_deviations)
 
 
 def _check(fixture: Fixture) -> Fixture:
@@ -414,12 +411,11 @@ def random_mg(seed, n_states: int = 4, horizon: int = 4,
 def random_deviation_class(game: MarkovGame, per_agent: int, seed) -> DeviationClass:
     """Explicit class of random stationary maps, identity always included."""
     rng = np.random.default_rng(seed)
-    cols = []
+    devs = []
     for i in range(game.num_agents):
         n = game.action_counts[i]
-        devs = [Deviation.identity(game, i)]
+        devs.append(Deviation.identity(game, i))
         for k in range(per_agent - 1):
             table = rng.integers(0, n, size=(game.n_states, n))
             devs.append(Deviation(i, table, label=f"a{i}/rnd{k}"))
-        cols.append(devs)
-    return DeviationClass.explicit(game, cols)
+    return DeviationClass.explicit(game, devs)

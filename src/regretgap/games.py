@@ -314,21 +314,21 @@ class DeviationClass:
         )
 
     @classmethod
-    def explicit(cls, game: MarkovGame, per_agent, ensure_identity: bool = True) -> "DeviationClass":
-        """Explicit finite classes; the identity map is prepended when missing."""
-        cols = []
-        for i, devs in enumerate(per_agent):
-            devs = list(devs)
-            for d in devs:
-                if d.agent != i:
-                    raise ValueError(f"deviation for agent {d.agent} listed under agent {i}")
-                d.check_for(game)
+    def explicit(cls, game: MarkovGame, deviations) -> "DeviationClass":
+        """Explicit finite classes from a flat list of deviations for any
+        agents, grouped by ``dev.agent`` in list order; each agent's
+        identity map is prepended when missing."""
+        cols = [[] for _ in range(game.num_agents)]
+        for d in deviations:
+            if not 0 <= d.agent < game.num_agents:
+                raise ValueError(f"deviation for agent {d.agent}: the game has agents "
+                                 f"0..{game.num_agents - 1}")
+            d.check_for(game)
+            cols[d.agent].append(d)
+        for i, devs in enumerate(cols):
             if not any(d.is_identity() for d in devs):
-                if not ensure_identity:
-                    raise ValueError(f"agent {i}: explicit deviation class must contain the identity")
                 devs.insert(0, Deviation.identity(game, i))
-            cols.append(tuple(devs))
-        return cls(tuple(cols))
+        return cls(tuple(tuple(devs) for devs in cols))
 
     @property
     def num_agents(self) -> int:

@@ -16,7 +16,6 @@ import csv
 import functools
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -574,53 +573,61 @@ def _sweep_cell(fixture: str, params: dict, algo: str, seed: int, rounds: int) -
     )
 
 
+SWEEP_KEYS = ("fixture", "grid", "algo", "rounds", "base_seed", "out")
+
+
 def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
-    """Grid sweep over fixture parameters; cells are independent and run
-    deterministically regardless of the parallelism degree.  The fixture,
-    grid keys and ``algo`` are checked before any cell runs.  A cell that
-    raises becomes a failed row carrying the exception in ``error``; cells
-    whose learner assumption failed (``CoverageError``) are also counted in
+    """Grid sweep over fixture parameters; cells run one after another in
+    grid order, cell k seeded from ``base_seed`` and k.  Every field of the
+    config, ``out`` (the CSV path the CLI writes) included, is checked
+    before any cell runs, and an error names its field; a key outside
+    ``SWEEP_KEYS`` is one.  A cell that raises becomes a failed row
+    carrying the exception in ``error``; cells whose learner
+    assumption failed (``CoverageError``) are also counted in
     ``assumption_violations``, so the CLI can exit as ``train`` does."""
+    unknown = sorted(set(config) - set(SWEEP_KEYS))
+    if unknown:
+        raise ValueError(f"unknown sweep config key {unknown[0]!r}; the keys are {list(SWEEP_KEYS)}")
     fixture = config.get("fixture", "fig1")
-    if fixture not in FIXTURES:
+    if not isinstance(fixture, str) or fixture not in FIXTURES:
         raise KeyError(f"unknown sweep fixture {fixture!r}")
-    grid = config.get("grid") or {}
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise ValueError("sweep grid must be nonempty")
+    grid = config.get("grid")
+    if not (isinstance(grid, dict) and grid
+            and all(isinstance(v, list) and v for v in grid.values())):
+        raise ValueError(f"sweep grid must be a nonempty object of nonempty lists, got {grid!r}")
     _check_params(fixture, FIXTURES[fixture], [{"H": "horizon"}.get(k, k) for k in grid])
-    base_seed = int(config.get("base_seed", 0))
     algo = config.get("algo", "")
     if algo not in ("", "jbc", "jirl", "malice", "blades"):
         raise ValueError(f"unknown algo {algo!r}")
-    rounds = int(config.get("rounds", 200))
-    jobs = max(1, int(config.get("jobs", 1)))
+    rounds = config.get("rounds", 200)
+    base_seed = config.get("base_seed", 0)
+    for name, value, low in (("rounds", rounds, 1), ("base_seed", base_seed, 0)):
+        if type(value) is not int or value < low:   # bool is an int subclass
+            raise ValueError(f"sweep {name} must be an int of at least {low}, got {value!r}")
+    out = config.get("out", "sweep.csv")
+    if not isinstance(out, str) or not out:
+        raise ValueError(f"sweep out must be a nonempty path string, got {out!r}")
     keys = sorted(grid)
-    cells = list(itertools.product(*(grid[k] for k in keys)))
-
-    def one(idx_cell):
-        idx, cell = idx_cell
+    rows, violations = [], 0
+    for idx, cell in enumerate(itertools.product(*(grid[k] for k in keys))):
         params = dict(zip(keys, cell))
         seed = int(np.random.SeedSequence(entropy=base_seed, spawn_key=(idx,)).generate_state(1)[0])
         t0 = time.perf_counter()
-        violation = False
         try:
             row = _sweep_cell(fixture, params, algo, seed, rounds)
         except Exception as exc:  # partial failures are recorded per row
             row = ReportRow(suite="sweep", fixture=fixture, algo=algo, H=params.get("H"),
                             beta=params.get("beta"), u=params.get("u"), eps=params.get("eps"),
                             seed=seed, passed=False, error=f"{type(exc).__name__}: {exc}")
-            violation = isinstance(exc, CoverageError)
+            violations += isinstance(exc, CoverageError)
         row.runtime_ms = (time.perf_counter() - t0) * 1000.0  # error rows keep the work done
-        return row, violation
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows, violations = zip(*pool.map(one, enumerate(cells)))
+        rows.append(row)
     summary = {
         "cells": len(rows),
         "passed": sum(r.passed is True for r in rows),
         "failed": sum(r.passed is False for r in rows),
-        "assumption_violations": sum(violations),
+        "assumption_violations": violations,
         "fixture": fixture,
         "algo": algo,
     }
-    return list(rows), summary
+    return rows, summary

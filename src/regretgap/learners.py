@@ -44,19 +44,14 @@ class ExpertOracle:
     """Queryable wrapper around the expert policy.
 
     Learners that hold an oracle never see the underlying table; every
-    access goes through query(), which increments a counter and appends to
-    the query log.  full-row mode returns the exact recommendation
-    distribution; sampled-action mode returns a one-hot draw from it.
+    access goes through query(), which increments a counter, appends to
+    the query log and returns the exact recommendation distribution.
     """
 
-    def __init__(self, expert: MediatorPolicy, mode: str = "full-row", seed: int | None = None):
-        if mode not in ("full-row", "sampled-action"):
-            raise ValueError(f"unknown oracle mode {mode!r}")
+    def __init__(self, expert: MediatorPolicy):
         self._table = expert.table
-        self.mode = mode
         self.query_count = 0
         self.query_log: list[dict] = []
-        self._rng = np.random.default_rng(seed)
 
     @property
     def n_joint_actions(self) -> int:
@@ -64,14 +59,8 @@ class ExpertOracle:
 
     def query(self, state: int, round_index: int | None = None) -> np.ndarray:
         self.query_count += 1
-        self.query_log.append({"round": round_index, "state": int(state), "mode": self.mode})
-        row = self._table[state]
-        if self.mode == "full-row":
-            return row.copy()
-        a = self._rng.choice(row.shape[0], p=row)
-        out = np.zeros_like(row)
-        out[a] = 1.0
-        return out
+        self.query_log.append({"round": round_index, "state": int(state), "mode": "full-row"})
+        return self._table[state].copy()
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,6 @@ def malice_loss(expert, policy, d_expert: np.ndarray, deviated_dists: Sequence[n
 
 
 def blades_components(oracle, deviated_dists: Sequence[np.ndarray],
-                      labels: Sequence[str] | None = None,
                       round_index: int | None = None) -> CompositeMaxLoss:
     """On-distribution imitation loss with expert rows obtained by querying.
 
@@ -138,8 +137,6 @@ def blades_components(oracle, deviated_dists: Sequence[np.ndarray],
     left uniform.
     """
     dists = np.asarray(deviated_dists, dtype=np.float64)
-    if labels is not None:      # only checked: no message here names a component
-        _labels(labels, len(dists))
     support = (dists > SUPPORT_TOL).any(axis=0)
     n_actions = oracle.n_joint_actions
     target = np.full((support.shape[0], n_actions), 1.0 / n_actions)
@@ -162,9 +159,8 @@ class OCOConfig:
     """Rounds and update rule for the online loop.
 
     rule: 'eg' exponentiated gradient (default; iterates stay strictly
-    inside the simplex), 'pgd' projected subgradient descent (cross-check),
-    or 'ftl' follow-the-leader via exact refit of aggregated targets.
-    Round n steps with sqrt(log(A) / n).
+    inside the simplex) or 'ftl' follow-the-leader via exact refit of
+    aggregated targets.  Round n steps with sqrt(log(A) / n).
     """
 
     rounds: int
@@ -173,20 +169,8 @@ class OCOConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("need at least one round")
-        if self.rule not in ("eg", "pgd", "ftl"):
+        if self.rule not in ("eg", "ftl"):
             raise ValueError(f"unknown OCO rule {self.rule!r}")
-
-
-def project_rows_to_simplex(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    S, A = x.shape
-    u = np.sort(x, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    ks = np.arange(1, A + 1)
-    cond = u - css / ks > 0
-    rho = A - np.argmax(cond[:, ::-1], axis=1) - 1
-    theta = css[np.arange(S), rho] / (rho + 1)
-    return np.maximum(x - theta[:, None], 0.0)
 
 
 @dataclass(frozen=True)
@@ -226,13 +210,10 @@ def oco_run(loss_builder: Callable[[int, np.ndarray], CompositeMaxLoss],
         k = int(vals.argmax())
         achieving[n - 1] = k
         losses[n - 1] = float(vals[k])
-        if config.rule in ("eg", "pgd"):
+        if config.rule == "eg":
             g = loss.component_subgradient(k, sigma)
-            if config.rule == "eg":
-                w = sigma * np.exp(-step * g)
-                new = w / w.sum(axis=1, keepdims=True)
-            else:
-                new = project_rows_to_simplex(sigma - step * g)
+            w = sigma * np.exp(-step * g)
+            new = w / w.sum(axis=1, keepdims=True)
             untouched = (g == 0).all(axis=1)
             new[untouched] = sigma[untouched]  # zero subgradient rows stay bitwise fixed
             sigma = new

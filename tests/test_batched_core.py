@@ -589,7 +589,6 @@ def test_training_trajectories_match_reference(algo, monkeypatch):
 
 TRAIN_VARIANTS = {
     "eg": TrainConfig(rounds=100),
-    "pgd": TrainConfig(rounds=50, rule="pgd"),
     "ftl": TrainConfig(rounds=50, rule="ftl"),
     "mc": TrainConfig(rounds=5, density_mode="mc", mc_samples=100),
     # 5 samples leave a state of one of the 10 games unseen by the expert: a MALICE CoverageError

@@ -5,6 +5,7 @@ import base64
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,6 +435,22 @@ class TestTrain:
         assert len(rows) == 21 and all(len(r) == 5 for r in rows)
         assert rows[1][3] == "swap,left"
 
+    @pytest.mark.parametrize("algo, flag, value", [
+        ("malice", "--fill-rule", "uniform"),
+        ("blades", "--fill-rule", "copy-expert"),
+        ("jbc", "--demos", "20"),
+        ("jirl", "--demos", "200"),
+    ])
+    def test_flag_the_algo_never_reads_is_usage_error(self, tmp_path, capsys, algo, flag, value):
+        main(["gen", "--name", "random", "--seed", "3", "--states", "3", "--out", str(tmp_path)])
+        capsys.readouterr()
+        rc = main(["train", "--algo", algo, "--game", str(tmp_path / "game.json"),
+                   "--expert", str(tmp_path / "expert.json"), flag, value,
+                   "--out", str(tmp_path / "run")])
+        assert rc == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_jirl_runs(self, tmp_path):
         main(["gen", "--name", "random", "--seed", "6", "--states", "3",
               "--out", str(tmp_path)])
@@ -499,7 +516,6 @@ class TestSweep:
             "base_seed": 11,
             "grid": {"H": [4, 6, 8, 10]},
             "fixture": "fig1",
-            "jobs": 2,
             "out": str(tmp_path / "sweep.csv"),
         }
         cfg_path = tmp_path / "cfg.json"
@@ -528,11 +544,51 @@ class TestSweep:
             eps = float(row["eps"])
             assert float(row["regret_gap"]) == pytest.approx(slope * eps, abs=1e-9)
 
-    def test_deterministic_across_parallelism(self, tmp_path):
-        base = {"base_seed": 5, "grid": {"H": [4, 5, 6]}, "fixture": "fig1"}
-        rows1, _ = run_sweep({**base, "jobs": 1})
-        rows3, _ = run_sweep({**base, "jobs": 3})
-        assert [(r.H, r.regret_gap) for r in rows1] == [(r.H, r.regret_gap) for r in rows3]
+    def test_cells_run_in_grid_order_with_repeatable_seeds(self):
+        config = {"base_seed": 5, "grid": {"H": [6, 4, 5]}, "fixture": "fig1", "algo": "blades",
+                  "rounds": 5}
+        rows, summary = run_sweep(config)
+        again, _ = run_sweep(config)
+        assert [r.H for r in rows] == [6, 4, 5] and summary["failed"] == 0
+        assert [r.seed for r in rows] == [
+            int(np.random.SeedSequence(entropy=5, spawn_key=(k,)).generate_state(1)[0])
+            for k in range(3)]
+        assert [(r.H, r.seed, r.regret_gap, r.value_gap) for r in rows] == \
+            [(r.H, r.seed, r.regret_gap, r.value_gap) for r in again]
+
+    @pytest.mark.parametrize("override, field", [
+        ({"grid": {"H": 4}}, "grid"),
+        ({"grid": [4]}, "grid"),
+        ({"grid": {"H": []}}, "grid"),
+        ({"fixture": ["fig1"]}, "fixture"),
+        ({"out": 5}, "out"),
+        ({"algo": "blades", "rounds": 0}, "rounds"),
+        ({"rounds": True}, "rounds"),
+        ({"base_seed": -1}, "base_seed"),
+        ({"workers": 2}, "workers"),
+    ], ids=["grid-scalar", "grid-list", "grid-empty-list", "fixture-list", "out-int",
+            "rounds-zero", "rounds-bool", "base-seed-negative", "unknown-key"])
+    def test_malformed_config_is_config_error_before_any_cell(self, tmp_path, monkeypatch, capsys,
+                                                              override, field):
+        import regretgap.harness as harness
+
+        cells = []
+        monkeypatch.setattr(harness, "_sweep_cell", lambda *args: cells.append(args))
+        out = tmp_path / "s.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"H": [4]}, "fixture": "fig1", "out": str(out),
+                                        **override}))
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert cells == [] and list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_readme_sweep_example_runs(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("A sweep config looks like:", 1)[1]
+        config = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+        rows, summary = run_sweep(config)
+        assert summary["cells"] == len(rows) > 0
+        assert summary["failed"] == 0 and all(r.error == "" for r in rows)
 
     def test_empty_grid_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -332,13 +332,9 @@ class TestBestResponse:
         # the returned per-step map, fed back through the explicit-class
         # machinery, reproduces the DP's regret on the nose
         fx = random_mg(77, n_states=4, horizon=4, action_counts=(2, 2))
-        per_agent = []
-        gains = []
-        for i in range(2):
-            br = best_response_deviation(fx.game, fx.expert, i)
-            per_agent.append([br.deviation])
-            gains.append(br.gain)
-        dc = DeviationClass.explicit(fx.game, per_agent)
+        brs = [best_response_deviation(fx.game, fx.expert, i) for i in range(2)]
+        gains = [br.gain for br in brs]
+        dc = DeviationClass.explicit(fx.game, [br.deviation for br in brs])
         assert regret(fx.game, fx.expert, dc) == pytest.approx(max(gains), abs=1e-10)
 
 
@@ -378,8 +374,7 @@ class TestRegret:
         small = random_deviation_class(fx.game, per_agent=2, seed=rng)
         extra = random_deviation_class(fx.game, per_agent=4, seed=rng)
         big = DeviationClass.explicit(fx.game, [
-            list(small.explicit_for(i)) + list(extra.explicit_for(i))
-            for i in range(2)
+            d for dc in (small, extra) for i in range(2) for d in dc.explicit_for(i)
         ])
         assert regret(fx.game, fx.learner, big) >= regret(fx.game, fx.learner, small) - 1e-15
 

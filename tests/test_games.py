@@ -212,11 +212,9 @@ class TestDeviationClass:
     def test_explicit_requires_or_inserts_identity(self):
         g = tiny_game()
         swap = Deviation(0, np.array([[1, 0], [1, 0]]))
-        dc = DeviationClass.explicit(g, [[swap], []])
+        dc = DeviationClass.explicit(g, [swap])
         assert any(d.is_identity() for d in dc.explicit_for(0))
         assert any(d.is_identity() for d in dc.explicit_for(1))
-        with pytest.raises(ValueError):
-            DeviationClass.explicit(g, [[swap], []], ensure_identity=False)
 
     def test_complete_marker(self):
         dc = DeviationClass.complete(2)
@@ -226,8 +224,20 @@ class TestDeviationClass:
 
     def test_wrong_agent_rejected(self):
         g = tiny_game()
-        with pytest.raises(ValueError):
-            DeviationClass.explicit(g, [[Deviation.identity(g, 1)], []])
+        for agent in (2, -1):     # past the last agent, and a negative index that would wrap
+            dev = Deviation(agent, np.array([[0, 1], [0, 1]]))
+            with pytest.raises(ValueError, match=f"agent {agent}: the game has agents 0..1"):
+                DeviationClass.explicit(g, [Deviation.identity(g, 1), dev])
+
+    def test_flat_list_grouped_by_agent_in_order(self):
+        g = tiny_game()
+        swap0 = Deviation(0, np.array([[1, 0], [1, 0]]), label="swap0")
+        swap1 = Deviation(1, np.array([[1, 0], [1, 0]]), label="swap1")
+        stay0 = Deviation(0, np.array([[0, 0], [0, 0]]), label="stay0")
+        dc = DeviationClass.explicit(g, [swap1, swap0, stay0])
+        assert [d.label for d in dc.explicit_for(0)][1:] == ["swap0", "stay0"]
+        assert [d.label for d in dc.explicit_for(1)][1:] == ["swap1"]
+        assert dc.num_agents == g.num_agents
 
 
 class TestSampling:

@@ -41,12 +41,6 @@ class TestExpertOracle:
         np.testing.assert_array_equal(row1, row2)
         assert oracle.query_count == 2
 
-    def test_sampled_mode_returns_one_hot(self):
-        fx = random_mg(1, n_states=3, horizon=3)
-        oracle = ExpertOracle(fx.expert, mode="sampled-action", seed=0)
-        row = oracle.query(0)
-        assert row.sum() == 1.0 and (row == row.astype(bool)).all()
-
     def test_deterministic_expert_one_hot_row(self):
         fx = fig1_game(4)
         oracle = ExpertOracle(fx.expert)
