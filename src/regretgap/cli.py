@@ -70,9 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="expert policy file; held by the harness, learners see it only "
                               "through densities, demonstrations, or oracle queries")
     p_train.add_argument("--deviation-file", action="append", default=[])
-    p_train.add_argument("--rounds", type=int, default=500)
+    p_train.add_argument("--rounds", type=int, default=None,
+                         help="jirl, malice and blades (default 500)")
     p_train.add_argument("--demos", type=int, default=None, help="blades only (default 200)")
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=int, default=None, help="malice and blades (default 0)")
     p_train.add_argument("--fill-rule", default=None, help="jbc only (default uniform)",
                          choices=("uniform", "copy-expert", "adversarial-worst-case"))
     p_train.add_argument("--out", required=True)
@@ -184,10 +185,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    unread = (("--fill-rule", args.fill_rule, "jbc"), ("--demos", args.demos, "blades"))
-    for flag, value, algo in unread:
-        if value is not None and args.algo != algo:
-            raise ValueError(f"{flag} is read only with --algo {algo}")
+    unread = (("--fill-rule", args.fill_rule, ("jbc",)), ("--demos", args.demos, ("blades",)),
+              ("--rounds", args.rounds, ("jirl", "malice", "blades")),
+              ("--seed", args.seed, ("malice", "blades")))
+    for flag, value, algos in unread:
+        if value is not None and args.algo not in algos:
+            raise ValueError(f"{flag} is read only with --algo {' or '.join(algos)}")
+    rounds = 500 if args.rounds is None else args.rounds
+    seed = 0 if args.seed is None else args.seed
     loaded = _load_inputs(args, "expert")
     if loaded is None:
         return EXIT_CHECK_FAILED
@@ -196,34 +201,41 @@ def _cmd_train(args) -> int:
         phi = _explicit_class(game, args.deviation_file)
     else:   # regret_gap is then 0.0 by construction: no agent can deviate
         phi = DeviationClass.identities(game)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = TrainConfig(rounds=args.rounds, seed=args.seed)
-    summary: dict = {"algo": args.algo, "rounds": args.rounds, "seed": args.seed, "deviation_class":
-                     [Path(p).stem for p in args.deviation_file] or "identities"}
-    trace = ()
+    summary: dict = {"algo": args.algo}
+    if args.algo != "jbc":
+        summary["rounds"] = rounds
+    if args.algo in ("malice", "blades"):
+        summary["seed"] = seed
+    summary["deviation_class"] = [Path(p).stem for p in args.deviation_file] or "identities"
+    trace, queries = (), None
     if args.algo == "jbc":
         policy = j_bc(game, expert=expert, fill_rule=args.fill_rule or "uniform", deviations=phi)
         summary["final_loss"] = weighted_tv_loss(expert, policy,
                                                  occupancy_bundle(game, expert).avg_state)
     elif args.algo == "jirl":
-        res = j_irl(game, expert, rounds=args.rounds)
+        res = j_irl(game, expert, rounds=rounds)
         policy = res.policy
         summary.update(final_loss=res.final_error, best_round=res.best_round,
                        rounds_run=res.rounds_run)
     else:
+        cfg = TrainConfig(rounds=rounds, seed=seed)
         if args.algo == "malice":
             res = malice_train(game, expert, phi, cfg)
         else:
             demos = sample_demonstrations(game, expert, 200 if args.demos is None else args.demos,
-                                          seed=args.seed)
+                                          seed=seed)
             res = blades_train(game, ExpertOracle(expert), demos, phi, cfg)
         policy, trace = res.policy, res.trace
         summary.update(final_loss=res.final_loss, best_round=res.best_round)
-    if args.algo == "blades":
-        summary["query_count"] = res.query_count
+        if args.algo == "blades":
+            summary["query_count"], queries = res.query_count, res.query_log
+    summary["value_gap"] = value_gap(game, expert, policy)
+    summary["regret_gap"] = regret_gap(game, expert, policy, phi)
+    out = Path(args.out)     # created only once there is a policy to write
+    out.mkdir(parents=True, exist_ok=True)
+    if queries is not None:
         with open(out / "queries.jsonl", "w") as fh:
-            for entry in res.query_log:
+            for entry in queries:
                 fh.write(json.dumps(entry) + "\n")
     io.save_policy(policy, out / "policy.json")
     if trace:
@@ -232,8 +244,6 @@ def _cmd_train(args) -> int:
             writer.writerow(["round", "loss", "achieving_agent", "achieving_deviation", "step_size"])
             writer.writerows((row.round, row.loss, row.achieving_agent, row.achieving_deviation,
                               row.step_size) for row in trace)
-    summary["value_gap"] = value_gap(game, expert, policy)
-    summary["regret_gap"] = regret_gap(game, expert, policy, phi)
     io.save_json(summary, out / "summary.json")
     print(json.dumps(summary))
     return EXIT_OK

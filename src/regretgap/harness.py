@@ -596,6 +596,14 @@ def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
             and all(isinstance(v, list) and v for v in grid.values())):
         raise ValueError(f"sweep grid must be a nonempty object of nonempty lists, got {grid!r}")
     _check_params(fixture, FIXTURES[fixture], [{"H": "horizon"}.get(k, k) for k in grid])
+    for key, values in grid.items():
+        # H is an int and the others JSON numbers; bool is an int subclass, and the
+        # builders would truncate 4.5 to 4 or fail only inside a cell
+        types = (int,) if key == "H" else (int, float)
+        bad = [v for v in values if type(v) not in types]
+        if bad:
+            raise ValueError(f"sweep grid[{key!r}] must hold {'ints' if key == 'H' else 'numbers'}, "
+                             f"got {bad[0]!r}")
     algo = config.get("algo", "")
     if algo not in ("", "jbc", "jirl", "malice", "blades"):
         raise ValueError(f"unknown algo {algo!r}")

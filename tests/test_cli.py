@@ -364,6 +364,32 @@ class TestTrain:
                    "--deviation-file", str(tmp_path / "deviation_0.json"),
                    "--rounds", "5", "--out", str(tmp_path / "run")])
         assert rc == EXIT_ASSUMPTION
+        assert not (tmp_path / "run").exists()  # nothing to write, so no output directory
+
+    @pytest.mark.parametrize("algo", ["jirl", "malice", "blades"])
+    def test_zero_rounds_is_usage_error_without_output_directory(self, tmp_path, algo):
+        main(["gen", "--name", "random", "--seed", "3", "--states", "3", "--out", str(tmp_path)])
+        rc = main(["train", "--algo", algo, "--game", str(tmp_path / "game.json"),
+                   "--expert", str(tmp_path / "expert.json"), "--rounds", "0",
+                   "--out", str(tmp_path / "run")])
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("algo, settings", [
+        ("jbc", {}),
+        ("jirl", {"rounds": 5}),
+        ("malice", {"rounds": 5, "seed": 0}),
+        ("blades", {"rounds": 5, "seed": 0}),
+    ])
+    def test_summary_records_only_the_settings_the_algo_read(self, tmp_path, algo, settings):
+        main(["gen", "--name", "random", "--seed", "3", "--states", "3", "--out", str(tmp_path)])
+        flags = ["--rounds", "5"] if "rounds" in settings else []
+        rc = main(["train", "--algo", algo, "--game", str(tmp_path / "game.json"),
+                   "--expert", str(tmp_path / "expert.json"), *flags,
+                   "--out", str(tmp_path / "run")])
+        assert rc == EXIT_OK
+        summary = io.load_json(tmp_path / "run" / "summary.json")
+        assert {k: summary[k] for k in ("rounds", "seed") if k in summary} == settings
 
     @pytest.mark.parametrize("agent", [5, -1])
     def test_deviation_file_naming_a_missing_agent_exit_2(self, tmp_path, capsys, agent):
@@ -440,6 +466,9 @@ class TestTrain:
         ("blades", "--fill-rule", "copy-expert"),
         ("jbc", "--demos", "20"),
         ("jirl", "--demos", "200"),
+        ("jbc", "--rounds", "7"),
+        ("jbc", "--seed", "3"),
+        ("jirl", "--seed", "3"),
     ])
     def test_flag_the_algo_never_reads_is_usage_error(self, tmp_path, capsys, algo, flag, value):
         main(["gen", "--name", "random", "--seed", "3", "--states", "3", "--out", str(tmp_path)])
@@ -566,8 +595,15 @@ class TestSweep:
         ({"rounds": True}, "rounds"),
         ({"base_seed": -1}, "base_seed"),
         ({"workers": 2}, "workers"),
+        ({"grid": {"H": [4.5, 6]}}, "grid['H']"),
+        ({"grid": {"H": [True]}}, "grid['H']"),
+        ({"grid": {"H": ["4"]}}, "grid['H']"),
+        ({"fixture": "coverage-lb", "grid": {"u": [True]}}, "grid['u']"),
+        ({"fixture": "coverage-lb", "grid": {"beta": ["0.1"]}}, "grid['beta']"),
+        ({"fixture": "alice-lb", "grid": {"eps": [0.001, None]}}, "grid['eps']"),
     ], ids=["grid-scalar", "grid-list", "grid-empty-list", "fixture-list", "out-int",
-            "rounds-zero", "rounds-bool", "base-seed-negative", "unknown-key"])
+            "rounds-zero", "rounds-bool", "base-seed-negative", "unknown-key", "H-float",
+            "H-bool", "H-string", "u-bool", "beta-string", "eps-null"])
     def test_malformed_config_is_config_error_before_any_cell(self, tmp_path, monkeypatch, capsys,
                                                               override, field):
         import regretgap.harness as harness
