@@ -41,7 +41,7 @@ irl = j_irl(game, expert, rounds=300)
 print("j_irl (moment match):  final moment error", f"{irl.final_error:.5f},",
       "value gap", f"{value_gap(game, expert, irl.policy):+.6f}")
 
-cfg = TrainConfig(rounds=400, seed=0)
+cfg = TrainConfig(rounds=400)
 mal = malice_train(game, expert, phi, cfg)
 gap_m = regret_gap(game, expert, mal.policy, phi)
 print("malice (reweighted):   self-consistent loss", f"{mal.final_loss:.5f},",

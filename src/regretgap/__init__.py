@@ -35,7 +35,6 @@ from .evaluate import (
     is_approx_ce,
     is_time_layered,
     moment_matching_error,
-    moment_recoverability_constant,
     occupancy_bundle,
     recoverability_constant,
     regret,

@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--rounds", type=int, default=None,
                          help="jirl, malice and blades (default 500)")
     p_train.add_argument("--demos", type=int, default=None, help="blades only (default 200)")
-    p_train.add_argument("--seed", type=int, default=None, help="malice and blades (default 0)")
+    p_train.add_argument("--seed", type=int, default=None, help="blades only (default 0)")
     p_train.add_argument("--fill-rule", default=None, help="jbc only (default uniform)",
                          choices=("uniform", "copy-expert", "adversarial-worst-case"))
     p_train.add_argument("--out", required=True)
@@ -187,7 +187,7 @@ def _cmd_eval(args) -> int:
 def _cmd_train(args) -> int:
     unread = (("--fill-rule", args.fill_rule, ("jbc",)), ("--demos", args.demos, ("blades",)),
               ("--rounds", args.rounds, ("jirl", "malice", "blades")),
-              ("--seed", args.seed, ("malice", "blades")))
+              ("--seed", args.seed, ("blades",)))
     for flag, value, algos in unread:
         if value is not None and args.algo not in algos:
             raise ValueError(f"{flag} is read only with --algo {' or '.join(algos)}")
@@ -204,7 +204,7 @@ def _cmd_train(args) -> int:
     summary: dict = {"algo": args.algo}
     if args.algo != "jbc":
         summary["rounds"] = rounds
-    if args.algo in ("malice", "blades"):
+    if args.algo == "blades":
         summary["seed"] = seed
     summary["deviation_class"] = [Path(p).stem for p in args.deviation_file] or "identities"
     trace, queries = (), None
@@ -218,7 +218,7 @@ def _cmd_train(args) -> int:
         summary.update(final_loss=res.final_error, best_round=res.best_round,
                        rounds_run=res.rounds_run)
     else:
-        cfg = TrainConfig(rounds=rounds, seed=seed)
+        cfg = TrainConfig(rounds=rounds)
         if args.algo == "malice":
             res = malice_train(game, expert, phi, cfg)
         else:

@@ -35,10 +35,8 @@ from .games import (
     _push,
     _push_index,
     _shift,
-    induced_tables,
     policy_tables,
     reachable_steps,      # re-exported: evaluate.reachable_steps stays public
-    sample_demonstrations,
 )
 
 
@@ -215,19 +213,9 @@ def occupancy_bundle(game: MarkovGame, policy) -> OccupancyBundle:
     return OccupancyBundle(d, rho, d.mean(axis=0), rho.mean(axis=0))
 
 
-def state_density(game: MarkovGame, policy, mode: str = "exact",
-                  n_samples: int = 10_000, rng=None) -> np.ndarray:
-    """Average state distribution d of a policy, exact or Monte-Carlo.
-
-    The Monte-Carlo mode exists to study sampling effects; the exact mode is
-    the default everywhere.
-    """
-    if mode == "exact":
-        return occupancy_bundle(game, policy).avg_state
-    if mode == "mc":
-        counts = sample_demonstrations(game, policy, n_samples, rng).state_counts(game)
-        return counts / counts.sum()
-    raise ValueError(f"unknown density mode {mode!r}")
+def state_density(game: MarkovGame, policy) -> np.ndarray:
+    """Average state distribution d of a policy, by forward DP."""
+    return occupancy_bundle(game, policy).avg_state
 
 
 def value_functions(game: MarkovGame, policy, agent: int):
@@ -506,41 +494,6 @@ def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
     timed = [d for d in devs if d.time_indexed]
     return max(_sweep(game, expert.table[None], group, agents, len(group))[2]
                for group, agents in ((stationary, br_agents), (timed, ())) if group)
-
-
-def moment_recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
-                                   deviations: DeviationClass) -> float:
-    """Worst-case advantage bound over every reward tensor in [-1, 1]^(S x A).
-
-    The advantage is linear in the reward, so its supremum over the box is
-    the L1 norm of the influence coefficients: the difference between the
-    visitation starting from (s, a) at step h and the one starting from s
-    alone.  Realized by an explicit sign construction per (h, s, a) cell;
-    the outer max runs over the same deviation set as
-    recoverability_constant's default mode.  One backward sweep keeps two
-    (S, S, A) visitation buffers and takes the cells a block of states at a
-    time, so memory stays O(S^2 A).
-    """
-    S, A, T = game.n_states, game.n_joint_actions, game.transition
-    block = max(1, S // A)         # a block's coefficients fit in one buffer
-    u = 0.0
-    devs, br_agents = _u_candidates(game, deviations)
-    brs = _sweep(game, expert.table[None], [], br_agents)[1][0]
-    for dev in devs + [br.deviation for br in brs.values()]:
-        tabs = induced_tables(game, expert, dev)
-        visit = np.zeros((S, S * A))   # visit[s] = expected future (S, A) visitation from s
-        for h in reversed(range(game.horizon)):
-            nxt = visit                  # from step h + 1 on
-            visit = np.einsum("sa,sax->sx", tabs[h], T) @ nxt
-            visit.reshape(S, S, A)[np.arange(S), np.arange(S)] += tabs[h]
-            for lo in range(0, S, block):
-                s = np.arange(lo, min(lo + block, S))
-                # coeff[s, a] = cell (s, a) + T(.|s, a) visit_{h+1} - visit_h[s]
-                coeff = (T[s] @ nxt).reshape(len(s), A, S, A)
-                coeff -= visit[s].reshape(len(s), 1, S, A)
-                coeff[np.arange(len(s))[:, None], np.arange(A), s[:, None], np.arange(A)] += 1.0
-                u = max(u, float(np.abs(coeff).sum(axis=(2, 3)).max()))
-    return u
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def property_suite_results():
             "H": game.horizon, "m": game.num_agents, "beta": beta, "u": u,
             "regret_expert": r_expert,
         }
-        cfg = TrainConfig(rounds=_PROPERTY_ROUNDS, seed=k)
+        cfg = TrainConfig(rounds=_PROPERTY_ROUNDS)
         sig_bc = j_bc(game, expert=expert, fill_rule="uniform")
         res_m = malice_train(game, expert, phi, cfg)
         demos = sample_demonstrations(game, expert, 200, seed=10_000 + k)
@@ -555,18 +555,18 @@ def _sweep_cell(fixture: str, params: dict, algo: str, seed: int, rounds: int) -
         pol = j_irl(game, fx.expert, rounds=rounds).policy
     elif algo == "malice":
         pol = malice_train(game, fx.expert, fx.witness_class(),
-                           TrainConfig(rounds=rounds, seed=seed)).policy
+                           TrainConfig(rounds=rounds)).policy
     else:                                   # blades; run_sweep checked the name
         demos = sample_demonstrations(game, fx.expert, 100, seed=seed)
         pol = blades_train(game, ExpertOracle(fx.expert), demos, fx.witness_class(),
-                           TrainConfig(rounds=rounds, seed=seed)).policy
+                           TrainConfig(rounds=rounds)).policy
     gap = regret_gap(game, fx.expert, pol, DeviationClass.complete(game.num_agents))
     expected = None if algo else fx.expected.get("regret_gap")
     return ReportRow(
         suite="sweep", fixture=fixture, algo=algo,
         H=game.horizon, m=game.num_agents,
         beta=params.get("beta"), u=params.get("u"), eps=params.get("eps"),
-        N=rounds if algo else None, seed=seed,
+        N=None if algo in ("", "jbc") else rounds, seed=seed,
         value_gap=value_gap(game, fx.expert, pol), regret_gap=gap, measured=gap,
         expected=expected,
         passed=None if algo else expected is None or abs(gap - expected) <= EQ_TOL,
@@ -595,6 +595,8 @@ def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
     if not (isinstance(grid, dict) and grid
             and all(isinstance(v, list) and v for v in grid.values())):
         raise ValueError(f"sweep grid must be a nonempty object of nonempty lists, got {grid!r}")
+    if "horizon" in grid:       # the builders' horizon is the grid's H, which the cells read
+        raise ValueError("sweep grid['horizon'] is not a grid key; the horizon is grid['H']")
     _check_params(fixture, FIXTURES[fixture], [{"H": "horizon"}.get(k, k) for k in grid])
     for key, values in grid.items():
         # H is an int and the others JSON numbers; bool is an int subclass, and the
@@ -612,6 +614,8 @@ def run_sweep(config: dict) -> tuple[list[ReportRow], dict]:
     for name, value, low in (("rounds", rounds, 1), ("base_seed", base_seed, 0)):
         if type(value) is not int or value < low:   # bool is an int subclass
             raise ValueError(f"sweep {name} must be an int of at least {low}, got {value!r}")
+    if "rounds" in config and algo in ("", "jbc"):
+        raise ValueError(f"sweep rounds is read only with algo jirl, malice or blades, not {algo!r}")
     out = config.get("out", "sweep.csv")
     if not isinstance(out, str) or not out:
         raise ValueError(f"sweep out must be a nonempty path string, got {out!r}")

@@ -20,7 +20,6 @@ from .evaluate import (
     _forward,
     occupancy_bundle,
     regret,
-    state_density,
 )
 from .games import (
     CoverageError,
@@ -32,7 +31,6 @@ from .games import (
 )
 from .losses import (
     SUPPORT_TOL,
-    CompositeMaxLoss,
     OCOConfig,
     _malice_builder,
     blades_components,
@@ -67,16 +65,13 @@ class ExpertOracle:
 class TrainConfig:
     """Shared knobs for the OCO-based learners.
 
-    rounds and rule (see OCOConfig) set the online loop.
-    density_mode 'exact' computes deviated state densities by forward DP;
-    'mc' estimates them from mc_samples rollouts per deviation and then
-    scores candidate iterates on a held-out fresh sample of the same size.
+    rounds and rule (see OCOConfig) set the online loop.  Training computes
+    its deviated state densities exactly, by forward DP, and draws nothing:
+    seed is read by no learner and stays only for callers that still pass it.
     """
 
     rounds: int = 500
     rule: str = "eg"
-    density_mode: str = "exact"
-    mc_samples: int = 2000
     seed: int = 0
 
 
@@ -284,9 +279,7 @@ def _train(game: MarkovGame, deviations: DeviationClass, config: TrainConfig,
     are made once per run.  Each round computes the state density of the
     current iterate under every deviation (exactly: one push and one forward
     DP for all of them) and takes one OCO step on ``build(dists,
-    round_index)``.  In 'mc' mode every iterate is then rescored on a
-    held-out fresh sample of the same size, with ``round_index`` None, and
-    the best rescored one is returned.
+    round_index)``.
     """
     if not deviations.all_explicit():
         raise ValueError("training needs an explicit, finite deviation class")
@@ -294,23 +287,15 @@ def _train(game: MarkovGame, deviations: DeviationClass, config: TrainConfig,
              for k, dev in enumerate(deviations.explicit_for(i))]
     build = loss_for([lab for _, lab, _ in pairs])
     push = _push_index(game, [dev for _, _, dev in pairs])
-    rng = np.random.default_rng(config.seed)
 
-    def densities(sigma: np.ndarray, rng) -> np.ndarray:
-        tables = push(sigma)
-        if config.density_mode == "exact":   # mean(axis=1), bit for bit, without its wrapper
-            return np.add.reduce(_forward(game, tables), axis=1) / game.horizon
-        return np.array([state_density(game, t, config.density_mode, config.mc_samples, rng)
-                         for t in tables])
+    def densities(sigma: np.ndarray) -> np.ndarray:
+        # mean(axis=1), bit for bit, without its wrapper
+        return np.add.reduce(_forward(game, push(sigma)), axis=1) / game.horizon
 
-    run = oco_run(lambda n, sigma: build(densities(sigma, rng), n),
+    run = oco_run(lambda n, sigma: build(densities(sigma), n),
                   (game.n_states, game.n_joint_actions), OCOConfig(config.rounds, config.rule),
                   init=None if init is None else init.table)
     best, final = run.best_round, float(run.losses[run.best_round])
-    if config.density_mode == "mc":
-        val_rng = np.random.default_rng(config.seed + 1)
-        val = np.array([build(densities(t, val_rng), None).value(t) for t in run.tables])
-        best, final = int(np.argmin(val)), float(val.min())
     trace = tuple(
         TraceRow(n + 1, loss, pairs[k][0], pairs[k][1], step) for n, (loss, k, step) in
         enumerate(zip(run.losses.tolist(), run.achieving.tolist(), run.step_sizes.tolist()))
@@ -338,9 +323,6 @@ def malice_train(game: MarkovGame, expert: MediatorPolicy, deviations: Deviation
             "expert leaves some state unvisited (coverage constant is 0); "
             "importance weights are undefined"
         )
-    if config.density_mode != "exact":
-        d_expert = state_density(game, expert, mode=config.density_mode, n_samples=config.mc_samples,
-                                 rng=np.random.default_rng(config.seed))
     return _train(game, deviations, config, init,
                   lambda labels: _malice_builder(expert, d_expert, labels))
 
@@ -355,25 +337,13 @@ def blades_train(game: MarkovGame, oracle: ExpertOracle, demos: DemonstrationSet
     ``init``).  Each round computes the state density of the current
     iterate under every listed deviation, queries the oracle once per
     (round, state) with positive mass, and takes one OCO step.  Never reads
-    the expert policy directly.  The 'mc' validation pass makes no query:
-    it scores against the last row each state got in training, and a row
-    the rounds never queried stays uniform.
+    the expert policy directly.
     """
     config = config or TrainConfig()
     if init is None:
         if demos is None or len(demos) == 0:
             raise ValueError("demonstrations are required for initialization")
         init = j_bc(game, demos=demos, fill_rule="uniform")
-    rows = np.full((game.n_states, oracle.n_joint_actions), 1.0 / oracle.n_joint_actions)
-
-    def build(dists, n):
-        if n is None:
-            return CompositeMaxLoss(dists, rows)
-        loss = blades_components(oracle, dists, round_index=n)
-        if config.density_mode == "mc":     # only the mc validation pass reads rows
-            queried = (dists > SUPPORT_TOL).any(axis=0)
-            rows[queried] = loss.target[queried]
-        return loss
-
-    res = _train(game, deviations, config, init, lambda labels: build)
+    res = _train(game, deviations, config, init,
+                 lambda labels: lambda dists, n: blades_components(oracle, dists, round_index=n))
     return replace(res, query_count=oracle.query_count, query_log=tuple(oracle.query_log))

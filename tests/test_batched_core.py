@@ -45,7 +45,6 @@ from regretgap import (
     j_irl,
     malice_train,
     moment_matching_error,
-    moment_recoverability_constant,
     occupancy_bundle,
     oco_run,
     recoverability_constant,
@@ -57,8 +56,7 @@ from regretgap import (
     values,
 )
 from regretgap import evaluate, games, learners
-from regretgap.fixtures import (alice_lb_game, coverage_lb_game, fig1_game, random_deviation_class,
-                                random_mg)
+from regretgap.fixtures import coverage_lb_game, random_deviation_class, random_mg
 from regretgap.games import _push_index, _shift, policy_tables
 from regretgap.harness import property_suite_games
 from regretgap.evaluate import state_density
@@ -181,29 +179,6 @@ def ref_u(game, expert, deviations):
     return u
 
 
-def ref_moment(game, expert, deviations):
-    """The O(S^2 A^2)-memory influence-coefficient construction."""
-    H, S, A = game.horizon, game.n_states, game.n_joint_actions
-    u = 0.0
-    for dev in ref_candidates(game, expert, deviations):
-        tabs = ref_induced(game, expert, dev)
-        visit = np.zeros((H + 1, S, S, A))
-        for h in reversed(range(H)):
-            visit[h] = np.eye(S)[:, :, None] * tabs[h][None, :, :]
-            if h + 1 < H:
-                step = np.einsum("sa,sax->sx", tabs[h], game.transition)
-                visit[h] += np.einsum("sx,xuv->suv", step, visit[h + 1])
-        for h in range(H):
-            cell = np.zeros((S, A, S, A))
-            cell[np.arange(S)[:, None], np.arange(A)[None, :],
-                 np.arange(S)[:, None], np.arange(A)[None, :]] = 1.0
-            if h + 1 < H:
-                cell += np.einsum("sax,xuv->sauv", game.transition, visit[h + 1])
-            coeff = cell - visit[h][:, None, :, :]
-            u = max(u, float(np.abs(coeff).sum(axis=(2, 3)).max()))
-    return u
-
-
 def ref_forward(game, tables):
     """Drop-in for evaluate._forward: one per-step DP per column."""
     return np.stack([ref_states(game, t) for t in tables])
@@ -292,8 +267,8 @@ def ref_blades_components(oracle, dists, round_index):
 def ref_train(algo, game, expert, deviations, config, demos):
     """malice_train or blades_train with the round before the rework: the
     push built its targets every call, each density was a .mean(axis=1),
-    the loss was built from scratch every round, and blades kept its
-    validation rows in every density mode.  Returns (OCORun, TrainResult)."""
+    and the loss was built from scratch every round.  Returns (OCORun,
+    TrainResult)."""
     pairs = [(i, dev.label or f"a{i}/dev{k}", dev) for i in range(deviations.num_agents)
              for k, dev in enumerate(deviations.explicit_for(i))]
     labels = [lab for _, lab, _ in pairs]
@@ -302,41 +277,25 @@ def ref_train(algo, game, expert, deviations, config, demos):
     shift = np.empty((len(pairs),) + (game.horizon,) * steps + (S, A), dtype=np.int64)
     for k, (_, _, dev) in enumerate(pairs):
         shift[k] = _shift(game, dev.agent, dev.table)
-    mc = config.density_mode == "mc"
     oracle, init = None, None
     if algo == "malice":
-        d_expert = state_density(game, expert, config.density_mode, config.mc_samples,
-                                 np.random.default_rng(config.seed) if mc else None)
+        d_expert = state_density(game, expert)
 
         def build_loss(dists, n):
             return ref_malice_components(expert, d_expert, dists, labels)
     else:
         oracle = ExpertOracle(expert)
         init = j_bc(game, demos=demos).table
-        rows = np.full((S, A), 1.0 / A)
 
         def build_loss(dists, n):
-            if n is None:
-                return CompositeMaxLoss(dists, rows)
-            loss = ref_blades_components(oracle, dists, n)
-            queried = (dists > SUPPORT_TOL).any(axis=0)
-            rows[queried] = loss.target[queried]
-            return loss
+            return ref_blades_components(oracle, dists, n)
 
-    def densities(sigma, rng):
-        tables = ref_push(shift, sigma)
-        if not mc:
-            return evaluate._forward(game, tables).mean(axis=1)
-        return np.array([state_density(game, t, "mc", config.mc_samples, rng) for t in tables])
+    def densities(sigma):
+        return evaluate._forward(game, ref_push(shift, sigma)).mean(axis=1)
 
-    rng = np.random.default_rng(config.seed)
-    run = oco_run(lambda n, sigma: build_loss(densities(sigma, rng), n), (S, A),
+    run = oco_run(lambda n, sigma: build_loss(densities(sigma), n), (S, A),
                   OCOConfig(config.rounds, config.rule), init=init)
     best, final = run.best_round, float(run.losses[run.best_round])
-    if mc:
-        val_rng = np.random.default_rng(config.seed + 1)
-        val = np.array([build_loss(densities(t, val_rng), None).value(t) for t in run.tables])
-        best, final = int(np.argmin(val)), float(val.min())
     log_a = np.log(max(A, 2))
     trace = tuple(
         TraceRow(n + 1, float(run.losses[n]), pairs[run.achieving[n]][0],
@@ -547,17 +506,6 @@ def test_forward_matches_reference_on_stationary_and_time_indexed_stacks(n_state
                 np.testing.assert_array_equal(evaluate._forward(game, tables[k:k + 1])[0], d[k])
 
 
-def test_moment_constant_matches_reference_on_suite_and_fixtures():
-    cases = [(fx.game, fx.expert, phi) for _, fx, phi in property_suite_games(10)]
-    cases += [(fx.game, fx.expert, DeviationClass.complete(2)) for _, fx, _ in property_suite_games(3)]
-    for fx in (fig1_game(6), coverage_lb_game(8, 5, 0.1, 0.01), alice_lb_game(6, 4, 0.2, 0.01)):
-        cases += [(fx.game, fx.expert, fx.witness_class()),
-                  (fx.game, fx.expert, DeviationClass.complete(fx.game.num_agents))]
-    for game, expert, phi in cases:
-        assert moment_recoverability_constant(game, expert, phi) == pytest.approx(
-            ref_moment(game, expert, phi), rel=0, abs=TOL)
-
-
 @pytest.mark.parametrize("algo", ["malice", "blades"])
 def test_training_trajectories_match_reference(algo, monkeypatch):
     """On the first 10 property-suite games: bitwise the same trace, final
@@ -595,9 +543,6 @@ def test_training_trajectories_match_reference(algo, monkeypatch):
 TRAIN_VARIANTS = {
     "eg": TrainConfig(rounds=100),
     "ftl": TrainConfig(rounds=50, rule="ftl"),
-    "mc": TrainConfig(rounds=5, density_mode="mc", mc_samples=100),
-    # 5 samples leave a state of one of the 10 games unseen by the expert: a MALICE CoverageError
-    "mc-sparse": TrainConfig(rounds=5, density_mode="mc", mc_samples=5),
 }
 
 

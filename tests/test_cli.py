@@ -378,12 +378,13 @@ class TestTrain:
     @pytest.mark.parametrize("algo, settings", [
         ("jbc", {}),
         ("jirl", {"rounds": 5}),
-        ("malice", {"rounds": 5, "seed": 0}),
+        ("malice", {"rounds": 5}),
         ("blades", {"rounds": 5, "seed": 0}),
+        ("blades", {"rounds": 5, "seed": 9}),
     ])
     def test_summary_records_only_the_settings_the_algo_read(self, tmp_path, algo, settings):
         main(["gen", "--name", "random", "--seed", "3", "--states", "3", "--out", str(tmp_path)])
-        flags = ["--rounds", "5"] if "rounds" in settings else []
+        flags = [f"--{k}={v}" for k, v in settings.items() if (k, v) != ("seed", 0)]
         rc = main(["train", "--algo", algo, "--game", str(tmp_path / "game.json"),
                    "--expert", str(tmp_path / "expert.json"), *flags,
                    "--out", str(tmp_path / "run")])
@@ -469,6 +470,7 @@ class TestTrain:
         ("jbc", "--rounds", "7"),
         ("jbc", "--seed", "3"),
         ("jirl", "--seed", "3"),
+        ("malice", "--seed", "3"),
     ])
     def test_flag_the_algo_never_reads_is_usage_error(self, tmp_path, capsys, algo, flag, value):
         main(["gen", "--name", "random", "--seed", "3", "--states", "3", "--out", str(tmp_path)])
@@ -601,9 +603,13 @@ class TestSweep:
         ({"fixture": "coverage-lb", "grid": {"u": [True]}}, "grid['u']"),
         ({"fixture": "coverage-lb", "grid": {"beta": ["0.1"]}}, "grid['beta']"),
         ({"fixture": "alice-lb", "grid": {"eps": [0.001, None]}}, "grid['eps']"),
+        ({"grid": {"horizon": [4, 6]}}, "grid['horizon']"),
+        ({"rounds": 9}, "rounds"),
+        ({"algo": "jbc", "rounds": 77}, "rounds"),
     ], ids=["grid-scalar", "grid-list", "grid-empty-list", "fixture-list", "out-int",
             "rounds-zero", "rounds-bool", "base-seed-negative", "unknown-key", "H-float",
-            "H-bool", "H-string", "u-bool", "beta-string", "eps-null"])
+            "H-bool", "H-string", "u-bool", "beta-string", "eps-null", "horizon-key",
+            "rounds-without-algo", "rounds-with-jbc"])
     def test_malformed_config_is_config_error_before_any_cell(self, tmp_path, monkeypatch, capsys,
                                                               override, field):
         import regretgap.harness as harness
@@ -715,6 +721,11 @@ class TestSweep:
         assert row["expected"] == "" and row["pass"] == ""
         assert row["measured"] == pytest.approx(2.0 / 3.0)
         assert summary["failed"] == 0
+
+    def test_jbc_cells_leave_n_empty(self):
+        # j_bc runs no rounds, so its rows record none
+        rows, _ = run_sweep({"grid": {"H": [4, 5]}, "fixture": "fig1", "algo": "jbc"})
+        assert [r.to_csv_dict()["N"] for r in rows] == ["", ""]
 
 
     @pytest.mark.parametrize("algo", ["jirl", "blades"])

@@ -27,7 +27,6 @@ from regretgap import (
     is_approx_ce,
     is_time_layered,
     moment_matching_error,
-    moment_recoverability_constant,
     occupancy_bundle,
     recoverability_constant,
     regret,
@@ -227,13 +226,12 @@ class TestStructuralConstants:
             recoverability_constant(fx.game, fx.expert, dc)
 
     @pytest.mark.parametrize("n_agents", [1, 3])
-    @pytest.mark.parametrize("which", ["u", "moment-u", "evaluate_pair"])
+    @pytest.mark.parametrize("which", ["u", "evaluate_pair"])
     def test_class_for_another_agent_count_rejected(self, which, n_agents):
         # a 2-agent game with a class for 1 or 3 agents
         fx = random_mg(3, n_states=4, horizon=3, action_counts=(2, 2))
         dc = DeviationClass.complete(n_agents)
         call = {"u": lambda: recoverability_constant(fx.game, fx.expert, dc),
-                "moment-u": lambda: moment_recoverability_constant(fx.game, fx.expert, dc),
                 "evaluate_pair": lambda: evaluate_pair(fx.game, fx.expert, fx.learner, dc)}[which]
         with pytest.raises(ValueError, match="does not match the game's agent count"):
             call()
@@ -248,28 +246,6 @@ class TestStructuralConstants:
         occ = occupancy_bundle(fx.game, pol)
         assert coverage_constant(fx.game, pol) == pytest.approx(
             float(occ.avg_state.min()), abs=0)
-
-    def test_moment_recoverability_dominates_true_reward(self):
-        fx = random_mg(33, n_states=3, horizon=3, action_counts=(2, 2))
-        dc = DeviationClass.complete(2)
-        u_true = recoverability_constant(fx.game, fx.expert, dc)
-        u_worst = moment_recoverability_constant(fx.game, fx.expert, dc)
-        assert u_worst >= u_true - 1e-12
-
-    def test_moment_u_memory_stays_quadratic_in_states(self):
-        # S = 60, A = 16: one (S, A, S, A) tensor alone would take 7.4 MB
-        import tracemalloc
-
-        fx = random_mg(34, n_states=60, horizon=4, action_counts=(4, 4))
-        dc = DeviationClass.identities(fx.game)
-        tracemalloc.start()
-        try:
-            u = moment_recoverability_constant(fx.game, fx.expert, dc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
-        assert u >= recoverability_constant(fx.game, fx.expert, dc) - 1e-12
 
 
 class TestBestResponse:

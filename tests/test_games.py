@@ -19,7 +19,7 @@ from regretgap import (
     validate_game,
     validate_policy,
 )
-from regretgap.evaluate import occupancy_bundle, state_density
+from regretgap.evaluate import occupancy_bundle
 from regretgap.fixtures import coverage_lb_game, fig1_game, multi_ce_nfg, random_mg
 from regretgap.games import _push, _shift
 
@@ -292,20 +292,6 @@ class TestSampling:
         assert len(demos) == 1
         np.testing.assert_array_equal(demos.states[0], [0, 1, 2])
         np.testing.assert_array_equal(demos.actions[0], [1, 1, 1])
-
-    @pytest.mark.parametrize("seed", [0, 17])
-    def test_mc_density_is_the_normalized_state_counts_of_a_sample(self, seed):
-        # state_density(mode="mc") draws exactly the trajectories that
-        # sample_demonstrations draws for the same seed, int or Generator
-        fx = random_mg(seed, n_states=5, horizon=4, action_counts=(2, 3))
-        counts = sample_demonstrations(fx.game, fx.expert, 700, seed).state_counts(fx.game)
-        density = state_density(fx.game, fx.expert, "mc", 700, seed)
-        assert density.tolist() == (counts / counts.sum()).tolist()
-        rng1, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
-        counts = sample_demonstrations(fx.game, fx.learner, 300, rng1).state_counts(fx.game)
-        density = state_density(fx.game, fx.learner, "mc", 300, rng2)
-        assert density.tolist() == (counts / counts.sum()).tolist()
-        assert rng1.random() == rng2.random()
 
 
 class TestImmutability:

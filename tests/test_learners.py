@@ -228,13 +228,6 @@ class TestMaliceTrain:
         with pytest.raises(ValueError, match="newton"):
             malice_train(fx.game, fx.expert, phi, TrainConfig(rounds=10, rule="newton"))
 
-    def test_mc_density_mode_runs(self):
-        fx = random_mg(14, n_states=3, horizon=3, full_coverage_expert=True)
-        phi = random_deviation_class(fx.game, per_agent=2, seed=4)
-        cfg = TrainConfig(rounds=15, density_mode="mc", mc_samples=500, seed=7)
-        res = malice_train(fx.game, fx.expert, phi, cfg)
-        assert 0.0 <= res.final_loss <= 1.0
-
 
 class TestBladesTrain:
     def test_expert_init_zero_loss_throughout(self):
@@ -286,18 +279,6 @@ class TestBladesTrain:
         pairs = {(entry["round"], entry["state"]) for entry in res.query_log}
         assert res.query_count == len(res.query_log) == len(pairs)
         assert res.query_count > 0
-
-    def test_mc_validation_makes_no_queries(self):
-        # the held-out rescoring uses the rows the rounds returned, so every
-        # query belongs to a training round
-        fx = fig1_game(6)
-        oracle = ExpertOracle(fx.expert)
-        demos = sample_demonstrations(fx.game, fx.expert, 50, seed=0)
-        cfg = TrainConfig(rounds=20, density_mode="mc", mc_samples=500, seed=0)
-        res = blades_train(fx.game, oracle, demos, DeviationClass.identities(fx.game), cfg)
-        assert res.query_count == len(res.query_log) > 0
-        assert all(entry["round"] is not None for entry in res.query_log)
-        assert {entry["round"] for entry in res.query_log} <= set(range(1, 21))
 
     def test_never_reads_expert_directly(self):
         # blades only needs the oracle; a censored expert policy object is
