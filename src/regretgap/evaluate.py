@@ -261,18 +261,10 @@ def best_response_deviation(game: MarkovGame, sigma: MediatorPolicy, agent: int)
     the reported gain is exactly 0.0 when obeying is optimal and never
     negative in floating point.
     """
-    return _sweep(game, sigma.table[None], [], [agent])[1][0][agent]
+    return _sweep(game, _stack(game, sigma), [], [agent])[1][0][agent]
 
 
 _STATIONARY_CAP = 1 << 16     # most stationary maps one agent's enumeration may try
-
-
-def _stationary_count(game: MarkovGame, agent: int, cap: int) -> int:
-    """n^(S*n), the number of one agent's stationary maps; refuses above ``cap``."""
-    total = game.action_counts[agent] ** (game.n_states * game.action_counts[agent])
-    if total > cap:
-        raise ValueError(f"{total} stationary deviations exceeds cap {cap}")
-    return total
 
 
 def _stationary_map(k, S: int, n: int) -> np.ndarray:
@@ -280,13 +272,6 @@ def _stationary_map(k, S: int, n: int) -> np.ndarray:
     most significant first, so state 0's row leads the lexicographic order."""
     k = np.asarray(k)
     return (k[..., None] // n ** np.arange(S * n - 1, -1, -1) % n).reshape(*k.shape, S, n)
-
-
-def _stationary_maps(game: MarkovGame, agent: int, cap: int) -> np.ndarray:
-    """Every stationary map (state, rec) -> action of one agent, as a
-    (n^(S*n), S, n) stack in lexicographic order; refuses above ``cap``."""
-    total = _stationary_count(game, agent, cap)
-    return _stationary_map(np.arange(total), game.n_states, game.action_counts[agent])
 
 
 def enumerate_stationary_best_response(game: MarkovGame, sigma: MediatorPolicy, agent: int,
@@ -308,20 +293,37 @@ def enumerate_stationary_best_response(game: MarkovGame, sigma: MediatorPolicy, 
     state is reachable at exactly one step this matches the DP; elsewhere it
     can only be lower.
     """
-    total = _stationary_count(game, agent, cap)
+    return _enumerate(game, _policy_array(game, sigma), agent, cap)[0]
+
+
+def _enumerate(game: MarkovGame, sigma: np.ndarray, agent: int, cap: int = _STATIONARY_CAP,
+               u: bool = False):
+    """enumerate_stationary_best_response of the (S, A) table sigma and, when
+    ``u``, max |Q_h(s,a) - V_h(s)| over every stationary map (else None),
+    both from the one backward DP over the stack."""
     S, A, n = game.n_states, game.n_joint_actions, game.action_counts[agent]
+    total = n ** (S * n)
+    if total > cap:
+        raise ValueError(f"{total} stationary deviations exceeds cap {cap}")
     N = n ** n                                                # local maps of one state
     local = np.broadcast_to(_stationary_map(np.arange(N), 1, n), (N, S, n))
-    rows = _push(_shift(game, agent, local), sigma.table)     # rows[l, s]: state s's row under map l
+    rows = _push(_shift(game, agent, local), sigma)           # rows[l, s]: state s's row under map l
     tables = np.empty((total, S, A))
     for s in range(S):        # map k, read as S base-N digits k_s, takes rows[k_s, s] at state s
         tables.reshape(N ** s, N, -1, S, A)[:, :, :, s] = rows[None, :, None, s]
-    J = _values(game, tables, np.full(total, agent))
+    agents = np.full(total, agent)
+    first, inverse = _distinct(tables, agents)
+    u_max = 0.0 if u else None
+    for _, Q, V, _ in _backward(game, tables[first], agents[first]):
+        if u:
+            gap = Q - V[:, :, None]
+            u_max = max(u_max, float(np.abs(gap, out=gap).max(initial=0.0)))
+    J = np.einsum("ks,s->k", V, game.initial_dist)[inverse]
     k_id = int(np.tile(np.arange(n), S) @ n ** np.arange(S * n - 1, -1, -1))
     k_best = int(np.argmax(J))
     best_dev = Deviation(agent, _stationary_map(k_best, S, n), label=f"bf(agent={agent})")
     return BestResponse(deviation=best_dev, gain=float(J[k_best] - J[k_id]),
-                        deviated_value=float(J[k_best]), obedient_value=float(J[k_id]))
+                        deviated_value=float(J[k_best]), obedient_value=float(J[k_id])), u_max
 
 
 # ---------------------------------------------------------------------------
@@ -376,36 +378,43 @@ def regret_report(game: MarkovGame, sigma: MediatorPolicy, deviations: Deviation
     'enumerate' brute-forces every stationary map (tiny games only) and is
     exact for the stationary semantics everywhere.
     """
-    return _regret_report(game, sigma.table[None], deviations, complete_mode)[0][0]
+    return _regret_report(game, _stack(game, sigma), deviations, complete_mode)[0][0]
 
 
 def _regret_report(game: MarkovGame, sigmas: np.ndarray, deviations: DeviationClass,
                    complete_mode: str = "dp", u: bool = False):
     """regret_report of each policy of the (P, S, A) stack sigmas, their
     obedient J_i (P, m) and, when ``u``, u of sigmas[0] (else None), all from
-    one backward sweep, so an identity deviation's gain is exactly 0.0."""
+    one backward sweep, so an identity deviation's gain is exactly 0.0.  u
+    covers each explicit deviation and, per COMPLETE agent, the identity and
+    best response ('dp') or every stationary map ('enumerate')."""
     if deviations.num_agents != game.num_agents:
         raise ValueError("deviation class does not match the game's agent count")
     if complete_mode not in ("dp", "enumerate"):
         raise ValueError(f"unknown complete_mode {complete_mode!r}")
     m = game.num_agents
     complete = [i for i in range(m) if deviations.is_complete(i)]
+    empty = [i for i in range(m) if i not in complete and not deviations.explicit_for(i)]
+    if u and empty:        # u needs a deviation for every explicit agent
+        raise ValueError(f"agent {empty[0]}: explicit deviation class is empty")
     explicit = [dev for i in range(m) if i not in complete for dev in deviations.explicit_for(i)]
-    # the u candidates first: explicit deviations, then the COMPLETE agents' identities
+    dp = complete_mode == "dp"
+    # the u candidates first: explicit deviations, then, for 'dp', the COMPLETE agents' identities
     ids = complete + [i for i in range(m) if i not in complete]
-    J, brs, u = _sweep(game, sigmas, explicit + [Deviation.identity(game, i) for i in ids],
-                       complete if complete_mode == "dp" else [],
-                       len(explicit) + len(complete) if u else None)
+    J, brs, u_max = _sweep(game, sigmas, explicit + [Deviation.identity(game, i) for i in ids],
+                           complete if dp else [],
+                           len(explicit) + (len(complete) if dp else 0) if u else None)
     J_obey = J[:, len(explicit) + np.argsort(ids)]       # (P, m)
-    exact = complete_mode == "enumerate" or not complete or is_time_layered(game)
+    exact = not dp or not complete or is_time_layered(game)
     reports = []
-    for sigma, J_p, J_o, brs_p in zip(sigmas, J, J_obey, brs):
+    for p, (sigma, J_p, J_o, brs_p) in enumerate(zip(sigmas, J, J_obey, brs)):
         deviated = iter(J_p)
         gains = []
         for i in range(m):
             if i in complete:
-                br = brs_p[i] if complete_mode == "dp" else \
-                    enumerate_stationary_best_response(game, MediatorPolicy(sigma), i)
+                br, u_i = (brs_p[i], None) if dp else _enumerate(game, sigma, i, u=u and p == 0)
+                if u_i is not None:
+                    u_max = max(u_max, u_i)
                 gains.append(DeviationGain(i, br.deviation.label, br.gain))
             else:
                 for k, dev in enumerate(deviations.explicit_for(i)):
@@ -413,7 +422,7 @@ def _regret_report(game: MarkovGame, sigmas: np.ndarray, deviations: DeviationCl
                     gains.append(DeviationGain(i, dev.label or f"dev{k}", gain))
         best = max(gains, key=lambda g: g.gain)      # the first of equal maxima
         reports.append(RegretReport(regret=best.gain, gains=tuple(gains), best=best, exact=exact))
-    return reports, J_obey, u
+    return reports, J_obey, u_max
 
 
 def regret(game: MarkovGame, sigma: MediatorPolicy, deviations: DeviationClass,
@@ -454,27 +463,6 @@ def coverage_constant(game: MarkovGame, expert: MediatorPolicy) -> float:
     return float(occupancy_bundle(game, expert).avg_state.min())
 
 
-def _u_candidates(game: MarkovGame, deviations: DeviationClass, exhaustive: bool = False):
-    """Deviations the u constants maximize over, and the agents whose per-step
-    best response joins them: an explicit class as listed; COMPLETE as every
-    stationary map when ``exhaustive``, else the identity plus the best
-    response."""
-    if deviations.num_agents != game.num_agents:
-        raise ValueError("deviation class does not match the game's agent count")
-    out, br_agents = [], []
-    for i in range(game.num_agents):
-        if not deviations.is_complete(i):
-            if not deviations.explicit_for(i):
-                raise ValueError(f"agent {i}: explicit deviation class is empty")
-            out += deviations.explicit_for(i)
-        elif exhaustive:
-            out += [Deviation(i, table) for table in _stationary_maps(game, i, _STATIONARY_CAP)]
-        else:
-            out.append(Deviation.identity(game, i))
-            br_agents.append(i)
-    return out, br_agents
-
-
 def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
                             deviations: DeviationClass,
                             exact_enumeration: bool = False) -> float:
@@ -482,18 +470,19 @@ def recoverability_constant(game: MarkovGame, expert: MediatorPolicy,
 
     For each agent i and deviation phi in its class, computes the advantage
     tensor of agent i under the deviated expert play and takes the max
-    absolute entry over steps, states and joint actions.
+    absolute entry over steps, states and joint actions.  One path: the u
+    of the expert's regret sweep, as ``evaluate_pair`` reports it, so an
+    explicit class must not be empty.
 
     COMPLETE classes are resolved over the identity plus the per-step
-    best-response deviation; with ``exact_enumeration`` every stationary
-    map is tried instead (small games only).
+    best-response deviation, which maximizes gain, not |A|, so u can fall
+    below the stationary-class value.  ``exact_enumeration`` tries every
+    stationary map instead, in the DP that enumerates the agent's best
+    response: refused above 2^16 maps (S = 8 at 2x2 actions), where each
+    COMPLETE agent costs about 0.1 s and a 72 MB allocation peak.
     """
-    devs, br_agents = _u_candidates(game, deviations, exact_enumeration)
-    # stationary deviations get their own DP so their tables stay (K, S, A)
-    stationary = [d for d in devs if not d.time_indexed]
-    timed = [d for d in devs if d.time_indexed]
-    return max(_sweep(game, expert.table[None], group, agents, len(group))[2]
-               for group, agents in ((stationary, br_agents), (timed, ())) if group)
+    return _regret_report(game, _stack(game, expert), deviations,
+                          "enumerate" if exact_enumeration else "dp", u=True)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +566,6 @@ def evaluate_pair(game: MarkovGame, expert: MediatorPolicy, learner: MediatorPol
     called alone to within 1e-15, not bitwise: one matmul rounds a row by its
     position for some inner dimensions (seen at 50, 60 and 64 states).
     Identity gains and the gaps of a policy against its copy stay exactly 0.0."""
-    _u_candidates(game, deviations)      # u needs a deviation for every explicit agent
     tables = _stack(game, expert, learner)
     (rep_e, rep_l), (ve, vl), u = _regret_report(game, tables, deviations, u=True)
     d = _forward(game, tables)                                # (2, H, S)

@@ -7,6 +7,8 @@ worst-case reward supremum.
 """
 
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretgap import (
+    COMPLETE,
     Deviation,
     DeviationClass,
     MarkovGame,
@@ -206,18 +209,34 @@ class TestStructuralConstants:
         assert u <= fx.params["u_floor"] + 1e-12
 
     def test_complete_u_matches_full_enumeration(self):
-        # 2 states, 2 actions, H=2: enumerate all 2^(2*2) stationary maps
-        fx = random_mg(21, n_states=2, horizon=2, action_counts=(2,))
-        game, expert = fx.game, fx.expert
-        best = 0.0
-        for digits in itertools.product(range(2), repeat=4):
-            table = np.asarray(digits).reshape(2, 2)
-            tabs = induced_tables(game, expert, Deviation(0, table))
-            _, _, adv = advantage_tensor(game, tabs, 0)
-            best = max(best, float(np.abs(adv).max()))
-        dc = DeviationClass.complete(1)
-        assert recoverability_constant(game, expert, dc, exact_enumeration=True) == \
-            pytest.approx(best, abs=1e-12)
+        # every stationary map of a COMPLETE agent from itertools.product, every
+        # listed deviation of an explicit one, each through advantage_tensor
+        one = random_mg(21, n_states=2, horizon=2, action_counts=(2,))   # 2^(2*2) maps
+        two = random_mg(22, n_states=3, horizon=3, action_counts=(2, 2))  # 2^(3*2) maps for agent 0
+        # agent 0 earns nothing here, so agent 1's explicit deviations set u
+        quiet = replace(two.game, rewards=np.array(two.game.rewards) * [[[0.0]], [[1.0]]])
+        listed = random_deviation_class(two.game, 3, 5).explicit_for(1)
+        timed = best_response_deviation(two.game, two.expert, 1).deviation
+        assert timed.time_indexed
+        cases = [(one.game, one.expert, DeviationClass.complete(1)),
+                 (two.game, two.expert, DeviationClass((COMPLETE, listed + (timed,)))),
+                 (quiet, two.expert, DeviationClass((COMPLETE, listed))),
+                 (quiet, two.expert, DeviationClass((COMPLETE, (timed,))))]
+        for game, expert, dc in cases:
+            candidates = []
+            for i in range(game.num_agents):
+                if dc.is_complete(i):
+                    n = game.action_counts[i]
+                    candidates += [Deviation(i, np.asarray(digits).reshape(game.n_states, n))
+                                   for digits in itertools.product(range(n), repeat=game.n_states * n)]
+                else:
+                    candidates += dc.explicit_for(i)
+            best = 0.0
+            for dev in candidates:
+                _, _, adv = advantage_tensor(game, induced_tables(game, expert, dev), dev.agent)
+                best = max(best, float(np.abs(adv).max()))
+            assert recoverability_constant(game, expert, dc, exact_enumeration=True) == \
+                pytest.approx(best, abs=1e-12)
 
     def test_explicit_empty_class_rejected(self):
         fx = random_mg(2, n_states=2, horizon=2)
@@ -403,6 +422,26 @@ class TestGaps:
                 "value_gap": lambda: value_gap(game, fx.expert, learner),
                 "moment_matching_error": lambda: moment_matching_error(game, fx.expert, learner)}[which]
         with pytest.raises(ValueError, match=r"policy shape \(3, 4\) does not match game"):
+            call()
+
+    @pytest.mark.parametrize("shape", [(2, 4), (8, 4), (4, 6)], ids=["2-states", "8-states", "6-actions"])
+    @pytest.mark.parametrize("which", ["regret", "regret_report", "best_response_deviation",
+                                       "is_approx_ce", "recoverability_constant",
+                                       "enumerate_stationary_best_response"])
+    def test_policy_of_another_shape_rejected(self, which, shape):
+        # a 4-state, 4-joint-action game with a policy of too few or too many states or actions
+        fx = random_mg(3, n_states=4, horizon=3, action_counts=(2, 2))
+        game = fx.game
+        sigma = MediatorPolicy(np.full(shape, 1.0 / shape[1]))
+        dc = DeviationClass.complete(2)
+        call = {"regret": lambda: regret(game, sigma, dc),
+                "regret_report": lambda: regret_report(game, sigma, dc),
+                "best_response_deviation": lambda: best_response_deviation(game, sigma, 0),
+                "is_approx_ce": lambda: is_approx_ce(game, sigma, dc, 0.1),
+                "recoverability_constant": lambda: recoverability_constant(game, sigma, dc),
+                "enumerate_stationary_best_response":
+                    lambda: enumerate_stationary_best_response(game, sigma, 0)}[which]
+        with pytest.raises(ValueError, match=re.escape(f"policy shape {shape} does not match game")):
             call()
 
     def test_nfg_value_gaps(self):
