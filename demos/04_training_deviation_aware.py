@@ -4,7 +4,8 @@ On a covered random game all four learners do fine.  The interesting part
 is the zero-coverage fork game: cloning fills the unvisited fork state
 arbitrarily (here: adversarially), which costs H-2 of regret gap, while
 the queryable-expert learner rolls out its own deviations, asks the expert
-about exactly the states those deviations reach, and closes the gap.
+about exactly the states those deviations reach, and drives the gap to
+near zero.
 
 Run:  python demos/04_training_deviation_aware.py
 """
@@ -73,10 +74,9 @@ except Exception as exc:
 
 oracle = ExpertOracle(fx1.expert)
 demos = sample_demonstrations(fx1.game, fx1.expert, 50, seed=1)
-cfg = TrainConfig(rounds=8, rule="ftl")
-res = blades_train(fx1.game, oracle, demos, fx1.witness_class(), cfg)
-print("blades with dataset aggregation: regret gap",
-      regret_gap(fx1.game, fx1.expert, res.policy, complete),
+res = blades_train(fx1.game, oracle, demos, fx1.witness_class(), TrainConfig(rounds=500))
+print("blades with exponentiated gradient: regret gap",
+      f"{regret_gap(fx1.game, fx1.expert, res.policy, complete):.5f}",
       f"after {res.query_count} expert queries")
 print("\nquerying the expert on deviation-reachable states is exactly the"
       "\ninformation cloning is missing.")

@@ -47,7 +47,6 @@ from .evaluate import (
 )
 from .losses import (
     CompositeMaxLoss,
-    OCOConfig,
     OCORun,
     blades_loss,
     malice_loss,

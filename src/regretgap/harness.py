@@ -53,8 +53,7 @@ from .games import (
     with_common_reward,
 )
 from .learners import ExpertOracle, TrainConfig, blades_train, j_bc, j_irl, malice_train
-from .losses import (CompositeMaxLoss, OCOConfig, blades_loss, malice_loss,
-                     oco_run, weighted_tv_loss)
+from .losses import CompositeMaxLoss, blades_loss, malice_loss, oco_run, weighted_tv_loss
 
 SCHEMA_VERSION = "3"
 EQ_TOL = 1e-9        # closed-form equalities
@@ -412,7 +411,7 @@ def suite_oco_regret() -> list[ReportRow]:
         t = targets[(n - 1) % 2]
         return CompositeMaxLoss(weights[None], t)
 
-    run = oco_run(builder, (1, A), OCOConfig(rounds=rounds, rule="eg"))
+    run = oco_run(builder, (1, A), TrainConfig(rounds=rounds))
     avg_alg = float(run.losses.mean())
     # best fixed comparator by dense grid over the simplex; for the
     # alternating one-hot targets the optimum 1/2 lies on the grid exactly

@@ -35,6 +35,7 @@ import numpy as np
 from .games import Deviation, MarkovGame, MediatorPolicy
 
 _DTYPE = "<f8"
+_PIECE = 3 * 2**16   # bytes per base64 piece; a multiple of 3, so only the last piece pads
 
 
 def _pack(arr: np.ndarray) -> dict:
@@ -74,7 +75,8 @@ def _write_packed(obj: dict, path) -> Path:
     The text is the one ``json.dumps`` gives with ``_pack`` applied to every
     ndarray value of ``obj``, but each base64 payload goes to the file as the
     bytes ``b64encode`` returns, skipping the encoder's scan for characters to
-    escape (base64 has none) and the round trip through a str.
+    escape (base64 has none) and the round trip through a str.  It is encoded
+    in pieces: ``b64encode`` of a whole array allocates twice its size at once.
     """
     parts = [b"{"]
     for k, (key, value) in enumerate(obj.items()):
@@ -82,13 +84,14 @@ def _write_packed(obj: dict, path) -> Path:
         if isinstance(value, np.ndarray):
             arr = np.ascontiguousarray(value, dtype=_DTYPE)
             head += f'{{"dtype": "{_DTYPE}", "shape": {json.dumps(list(arr.shape))}, "data": "'
-            parts += [head.encode("ascii"), base64.b64encode(arr), b'"}']
+            raw = arr.reshape(-1).view(np.uint8)
+            parts += [head.encode("ascii"), *np.split(raw, range(_PIECE, raw.size, _PIECE)), b'"}']
         else:
             parts.append((head + json.dumps(value)).encode("ascii"))
     parts.append(b"}")
     path = Path(path)
     with path.open("wb") as fh:
-        fh.writelines(parts)
+        fh.writelines(p if isinstance(p, bytes) else base64.b64encode(p) for p in parts)
     return path
 
 

@@ -27,11 +27,12 @@ from .games import (
     DeviationClass,
     MarkovGame,
     MediatorPolicy,
+    _policy_array,
     _push_index,
 )
 from .losses import (
     SUPPORT_TOL,
-    OCOConfig,
+    TrainConfig,
     _malice_builder,
     blades_components,
     oco_run,
@@ -59,20 +60,6 @@ class ExpertOracle:
         self.query_count += 1
         self.query_log.append({"round": round_index, "state": int(state), "mode": "full-row"})
         return self._table[state].copy()
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Shared knobs for the OCO-based learners.
-
-    rounds and rule (see OCOConfig) set the online loop.  Training computes
-    its deviated state densities exactly, by forward DP, and draws nothing:
-    seed is read by no learner and stays only for callers that still pass it.
-    """
-
-    rounds: int = 500
-    rule: str = "eg"
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -293,7 +280,7 @@ def _train(game: MarkovGame, deviations: DeviationClass, config: TrainConfig,
         return np.add.reduce(_forward(game, push(sigma)), axis=1) / game.horizon
 
     run = oco_run(lambda n, sigma: build(densities(sigma), n),
-                  (game.n_states, game.n_joint_actions), OCOConfig(config.rounds, config.rule),
+                  (game.n_states, game.n_joint_actions), config,
                   init=None if init is None else init.table)
     best, final = run.best_round, float(run.losses[run.best_round])
     trace = tuple(
@@ -305,7 +292,7 @@ def _train(game: MarkovGame, deviations: DeviationClass, config: TrainConfig,
 
 
 def malice_train(game: MarkovGame, expert: MediatorPolicy, deviations: DeviationClass,
-                 config: TrainConfig | None = None,
+                 config: TrainConfig = TrainConfig(),
                  init: MediatorPolicy | None = None) -> TrainResult:
     """Minimize the importance-weighted max-over-deviations imitation loss.
 
@@ -315,7 +302,6 @@ def malice_train(game: MarkovGame, expert: MediatorPolicy, deviations: Deviation
     on the resulting convex loss, and the iterate with the smallest
     self-consistent loss (its own round's loss at itself) is returned.
     """
-    config = config or TrainConfig()
     d_expert = occupancy_bundle(game, expert).avg_state
     beta = d_expert.min()         # coverage_constant without a second forward DP
     if beta <= 0.0:
@@ -328,7 +314,7 @@ def malice_train(game: MarkovGame, expert: MediatorPolicy, deviations: Deviation
 
 
 def blades_train(game: MarkovGame, oracle: ExpertOracle, demos: DemonstrationSet,
-                 deviations: DeviationClass, config: TrainConfig | None = None,
+                 deviations: DeviationClass, config: TrainConfig = TrainConfig(),
                  init: MediatorPolicy | None = None) -> TrainResult:
     """Minimize the on-deviated-distribution imitation loss with a queryable
     expert; no coverage assumption is needed.
@@ -337,9 +323,9 @@ def blades_train(game: MarkovGame, oracle: ExpertOracle, demos: DemonstrationSet
     ``init``).  Each round computes the state density of the current
     iterate under every listed deviation, queries the oracle once per
     (round, state) with positive mass, and takes one OCO step.  Never reads
-    the expert policy directly.
+    the expert policy directly, but checks its shape before the first query.
     """
-    config = config or TrainConfig()
+    _policy_array(game, oracle._table)
     if init is None:
         if demos is None or len(demos) == 0:
             raise ValueError("demonstrations are required for initialization")

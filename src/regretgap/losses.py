@@ -1,5 +1,5 @@
-"""Convex imitation losses over per-state joint-action simplices, plus a
-no-regret online convex optimization loop to minimize them.
+"""Convex imitation losses over per-state joint-action simplices, plus the
+no-regret online loop, exponentiated gradient, that minimizes them.
 
 Every loss is built from weighted total-variation terms
 ``sum_s w(s) * TV(target(s), sigma(s))`` and therefore lies in [0, 1] and
@@ -26,6 +26,8 @@ def _table(policy) -> np.ndarray:
 
 def tv_rows(target: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per-state total variation 0.5 * |target(s) - table(s)|_1, shape (S,)."""
+    if table.shape != target.shape:     # a ValueError, not a numpy broadcast error
+        raise ValueError(f"policy shape {table.shape} does not match target {target.shape}")
     return 0.5 * np.abs(target - table).sum(axis=1)
 
 
@@ -79,23 +81,18 @@ class CompositeMaxLoss:
 def weighted_tv_loss(target, policy, weights: np.ndarray) -> float:
     """sum_s w(s) * TV(target(s), policy(s)) with TV(p, q) = 0.5 * |p - q|_1."""
     w = np.asarray(weights, dtype=np.float64)
+    tv = tv_rows(_table(target), _table(policy))
+    if w.shape != tv.shape:
+        raise ValueError(f"{w.size} weights for {tv.size} states")
     atol = 1e-9
     if w.min(initial=0.0) < -atol or abs(w.sum() - 1.0) > atol:
         raise ValueError("weights must form a probability distribution over states")
-    return float(w @ tv_rows(_table(target), _table(policy)))
+    return float(w @ tv)
 
 
-def _labels(labels, count: int) -> list:
-    """One label per deviated distribution, ``dev{k}`` by default."""
-    labels = [f"dev{k}" for k in range(count)] if labels is None else list(labels)
-    if len(labels) != count:
-        raise ValueError(f"{len(labels)} labels for {count} deviated distributions")
-    return labels
-
-
-def malice_components(expert, d_expert: np.ndarray, deviated_dists: Sequence[np.ndarray],
-                      labels: Sequence[str] | None = None) -> CompositeMaxLoss:
-    """Importance-weighted imitation loss, one component per deviation.
+def malice_components(expert, d_expert: np.ndarray,
+                      deviated_dists: Sequence[np.ndarray]) -> CompositeMaxLoss:
+    """Importance-weighted imitation loss, one component ``dev{k}`` per deviation.
 
     Each component is E_{s ~ d_expert}[ (d_dev(s)/d_expert(s)) * TV ], which
     collapses to the expectation under the deviated distribution; the ratio
@@ -103,7 +100,7 @@ def malice_components(expert, d_expert: np.ndarray, deviated_dists: Sequence[np.
     without it.
     """
     dists = np.asarray(deviated_dists, dtype=np.float64).reshape(-1, np.size(d_expert))
-    return _malice_builder(expert, d_expert, _labels(labels, len(dists)))(dists)
+    return _malice_builder(expert, d_expert, [f"dev{k}" for k in range(len(dists))])(dists)
 
 
 def _malice_builder(expert, d_expert: np.ndarray, labels: list):
@@ -155,22 +152,15 @@ def blades_loss(oracle, policy, deviated_dists: Sequence[np.ndarray]) -> float:
 
 
 @dataclass(frozen=True)
-class OCOConfig:
-    """Rounds and update rule for the online loop.
+class TrainConfig:
+    """Rounds of the online loop; round n steps with sqrt(log(A) / n)."""
 
-    rule: 'eg' exponentiated gradient (default; iterates stay strictly
-    inside the simplex) or 'ftl' follow-the-leader via exact refit of
-    aggregated targets.  Round n steps with sqrt(log(A) / n).
-    """
-
-    rounds: int
-    rule: str = "eg"
+    rounds: int = 500
+    seed: int = 0   # read by no learner, since training draws nothing; kept for callers that pass it
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("need at least one round")
-        if self.rule not in ("eg", "ftl"):
-            raise ValueError(f"unknown OCO rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -186,13 +176,13 @@ class OCORun:
 
 
 def oco_run(loss_builder: Callable[[int, np.ndarray], CompositeMaxLoss],
-            shape: tuple[int, int], config: OCOConfig,
+            shape: tuple[int, int], config: TrainConfig,
             init: np.ndarray | None = None) -> OCORun:
-    """Run the online loop; round n sees loss_builder(n, sigma_n) at sigma_n.
+    """Exponentiated gradient; round n sees loss_builder(n, sigma_n) at sigma_n.
 
-    Iterates live on the product of per-state simplices for every update
-    rule.  All iterates are returned so callers can pick the best one on
-    validation data.
+    Iterates stay strictly inside the product of per-state simplices.  All
+    iterates are returned so callers can pick the best one on validation
+    data.
     """
     S, A = shape
     sigma = np.full((S, A), 1.0 / A) if init is None else np.asarray(init, dtype=np.float64).copy()
@@ -201,8 +191,6 @@ def oco_run(loss_builder: Callable[[int, np.ndarray], CompositeMaxLoss],
     losses = np.empty(N)
     achieving = np.empty(N, dtype=np.int64)
     steps = np.sqrt(np.log(max(A, 2)) / np.arange(1, N + 1))
-    agg_weight = np.zeros(S)
-    agg_target = np.zeros((S, A))
     for n, step in enumerate(steps.tolist(), start=1):
         loss = loss_builder(n, sigma)
         tables[n - 1] = sigma
@@ -210,20 +198,10 @@ def oco_run(loss_builder: Callable[[int, np.ndarray], CompositeMaxLoss],
         k = int(vals.argmax())
         achieving[n - 1] = k
         losses[n - 1] = float(vals[k])
-        if config.rule == "eg":
-            g = loss.component_subgradient(k, sigma)
-            w = sigma * np.exp(-step * g)
-            new = w / w.sum(axis=1, keepdims=True)
-            untouched = (g == 0).all(axis=1)
-            new[untouched] = sigma[untouched]  # zero subgradient rows stay bitwise fixed
-            sigma = new
-        else:  # ftl: refit every state seen so far to the target row
-            for w in loss.weights:  # row by row: a sum(axis=0) may round differently
-                agg_weight += w
-            agg_target = np.where(
-                (loss.weights > SUPPORT_TOL).any(axis=0)[:, None], loss.target, agg_target
-            )
-            seen = agg_weight > SUPPORT_TOL
-            sigma = sigma.copy()
-            sigma[seen] = agg_target[seen]
+        g = loss.component_subgradient(k, sigma)
+        w = sigma * np.exp(-step * g)
+        new = w / w.sum(axis=1, keepdims=True)
+        untouched = (g == 0).all(axis=1)
+        new[untouched] = sigma[untouched]  # zero subgradient rows stay bitwise fixed
+        sigma = new
     return OCORun(tables=tables, losses=losses, achieving=achieving, step_sizes=steps)

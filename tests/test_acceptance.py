@@ -10,7 +10,9 @@ factor-two bound is verified in tests/test_evaluate.py and the analysis
 lives in the repository notes.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,23 @@ def test_criterion_05_blades_bound_and_query_logging():
     assert _report(5, "blades regret-gap bound with positive query counts", rows)
     recs = property_suite_results()
     assert all(r["blades_queries"] > 0 for r in recs)
+
+
+def test_property_suite_matches_its_pinned_outputs():
+    """Every game's beta, u, expert regret, each learner's eps, regret and
+    gap, and BLADES's query count, against tests/data: floats to 1e-12,
+    counts exactly.  A BLAS other than the one that wrote the file may move
+    a float by an ulp; a field that moves further is a changed result."""
+    pinned = json.loads((Path(__file__).parent / "data" / "property_suite_pinned.json")
+                        .read_text())["games"]
+    recs = property_suite_results()
+    assert [rec["index"] for rec in recs] == [row["index"] for row in pinned]
+    for rec, row in zip(recs, pinned):
+        for field, want in row.items():
+            if isinstance(want, int):
+                assert rec[field] == want, (rec["index"], field)
+            else:
+                assert abs(rec[field] - want) <= 1e-12, (rec["index"], field, rec[field], want)
 
 
 def test_memoized_training_time_is_charged_to_rows():

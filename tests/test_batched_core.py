@@ -34,7 +34,6 @@ from regretgap import (
     DeviationClass,
     ExpertOracle,
     MediatorPolicy,
-    OCOConfig,
     TrainConfig,
     TrainResult,
     best_response_deviation,
@@ -292,8 +291,7 @@ def ref_train(algo, game, expert, deviations, config, demos):
     def densities(sigma):
         return evaluate._forward(game, ref_push(shift, sigma)).mean(axis=1)
 
-    run = oco_run(lambda n, sigma: build_loss(densities(sigma), n), (S, A),
-                  OCOConfig(config.rounds, config.rule), init=init)
+    run = oco_run(lambda n, sigma: build_loss(densities(sigma), n), (S, A), config, init=init)
     best, final = run.best_round, float(run.losses[run.best_round])
     log_a = np.log(max(A, 2))
     trace = tuple(
@@ -541,7 +539,6 @@ def test_training_trajectories_match_reference(algo, monkeypatch):
 
 TRAIN_VARIANTS = {
     "eg": TrainConfig(rounds=100),
-    "ftl": TrainConfig(rounds=50, rule="ftl"),
 }
 
 

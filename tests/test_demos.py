@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the current public API."""
+"""Every demo script runs to completion against the current public API,
+under ``python -W error``: the suite's own ``-W error`` does not reach a
+subprocess, so a warning a demo raises fails the test here."""
 
 import os
 import subprocess
@@ -19,6 +21,6 @@ def test_demos_found():
 def test_demo_exits_zero(script):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -347,6 +347,24 @@ class TestFileFormats:
         assert path.read_bytes() == json.dumps({"table": io._pack(table)}).encode("ascii")
         assert_bitwise(io.load_policy(path).table, table)
 
+    def test_writer_encodes_a_large_payload_piece_by_piece(self, tmp_path):
+        """A transition tensor of 3.3 base64 pieces: the file is still the
+        json.dumps text, and writing it never holds the payload whole (one
+        b64encode of the tensor allocates twice its 640 kB)."""
+        import tracemalloc
+
+        game = random_mg(2, n_states=100, horizon=3, action_counts=(2, 2, 2)).game
+        assert game.transition.nbytes > 3 * io._PIECE
+        tracemalloc.start()
+        try:
+            path = io.save_game(game, tmp_path / "game.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == json.dumps(io.game_to_dict(game)).encode("ascii")
+        assert_bitwise(io.load_game(path).transition, game.transition)
+        assert peak < game.transition.nbytes
+
     def test_packed_round_trip_is_bitwise(self, tmp_path):
         special = [-0.0, 5e-324, 2.2250738585072e-308, np.nextafter(1.0, 0.0), 1 / 3]
         g = tiny_game()

@@ -11,7 +11,7 @@ from regretgap import (
     DeviationClass,
     ExpertOracle,
     MediatorPolicy,
-    OCOConfig,
+    TrainConfig,
     blades_loss,
     induced_tables,
     malice_loss,
@@ -104,14 +104,8 @@ class TestMaliceLoss:
         first = np.array([0.25, 0.25, 0.25, 0.25])
         second = np.array([0.0, 1.0, 0.0, 0.0])
         expert = MediatorPolicy(np.full((4, 2), 0.5))
-        with pytest.raises(CoverageError, match=r"'first' puts mass .* \(states \[1, 3\]\)"):
-            malice_components(expert, d_e, [ok, first, second], labels=["ok", "first", "second"])
-
-    def test_label_count_mismatch_is_value_error(self):
-        d = np.array([0.5, 0.5])
-        expert = MediatorPolicy(np.full((2, 2), 0.5))
-        with pytest.raises(ValueError, match="1 labels for 2 deviated distributions"):
-            malice_components(expert, d, [d, d], labels=["a"])
+        with pytest.raises(CoverageError, match=r"'dev1' puts mass .* \(states \[1, 3\]\)"):
+            malice_components(expert, d_e, [ok, first, second])
 
     def test_value_in_unit_interval(self):
         fx, d_e, dists = self._setup(seed=8)
@@ -240,7 +234,7 @@ class TestOCORun:
         def builder(n, sigma):
             return CompositeMaxLoss(np.full((1, 2), 0.5), sigma.copy())
 
-        run = oco_run(builder, (2, 3), OCOConfig(rounds=50))
+        run = oco_run(builder, (2, 3), TrainConfig(rounds=50))
         np.testing.assert_allclose(run.tables[0], target)
         np.testing.assert_allclose(run.tables[-1], target, atol=1e-12)
         assert run.losses.max() == 0.0
@@ -251,37 +245,20 @@ class TestOCORun:
         w = np.full(3, 1 / 3)
         loss = CompositeMaxLoss(w[None], target)
 
-        run = oco_run(lambda n, s: loss, (3, 4), OCOConfig(rounds=2000))
+        run = oco_run(lambda n, s: loss, (3, 4), TrainConfig(rounds=2000))
         assert run.losses.mean() <= 0.05
         assert run.losses[-1] <= 0.02
 
-    @pytest.mark.parametrize("rule", ["eg", "ftl"])
-    def test_iterates_stay_on_simplex(self, rule):
+    def test_iterates_stay_on_simplex(self):
         rng = np.random.default_rng(10)
         targets = [rand_simplex(rng, (2, 4)) for _ in range(3)]
 
         def builder(n, sigma):
             return CompositeMaxLoss(np.array([[0.7, 0.3]]), targets[n % 3])
 
-        run = oco_run(builder, (2, 4), OCOConfig(rounds=200, rule=rule))
+        run = oco_run(builder, (2, 4), TrainConfig(rounds=200))
         np.testing.assert_allclose(run.tables.sum(axis=2), 1.0, atol=1e-12)
         assert (run.tables >= 0).all()
-
-    def test_ftl_refits_aggregated_targets(self):
-        target = np.zeros((2, 3))
-        target[:, 1] = 1.0
-        w1 = np.array([1.0, 0.0])
-        w2 = np.array([0.0, 1.0])
-
-        def builder(n, sigma):
-            w = w1 if n == 1 else w2
-            return CompositeMaxLoss(w[None], target)
-
-        run = oco_run(builder, (2, 3), OCOConfig(rounds=3, rule="ftl"))
-        # after round 1 state 0 is fit; after round 2 both are
-        np.testing.assert_allclose(run.tables[1][0], target[0])
-        np.testing.assert_allclose(run.tables[2], target)
-        assert run.losses[2] == 0.0
 
     def test_adversarial_no_regret_certificate(self):
         # alternating one-hot targets over one state, 4 joint actions
@@ -293,14 +270,12 @@ class TestOCORun:
         def builder(n, sigma):
             return CompositeMaxLoss(np.ones((1, 1)), targets[(n - 1) % 2])
 
-        run = oco_run(builder, (1, A), OCOConfig(rounds=N, rule="eg"))
+        run = oco_run(builder, (1, A), TrainConfig(rounds=N))
         # best fixed policy puts all mass on the two target actions: loss 1/2
         best_fixed = 0.5
         avg_regret = float(run.losses.mean()) - best_fixed
         assert avg_regret <= 2 * np.sqrt(np.log(A) / N)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            OCOConfig(rounds=0)
-        with pytest.raises(ValueError):
-            OCOConfig(rounds=5, rule="newton")
+        with pytest.raises(ValueError, match="need at least one round"):
+            TrainConfig(rounds=0)
