@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--demos", type=int, default=None, help="blades only (default 200)")
     p_train.add_argument("--seed", type=int, default=None, help="blades only (default 0)")
     p_train.add_argument("--fill-rule", default=None, help="jbc only (default uniform)",
-                         choices=("uniform", "copy-expert", "adversarial-worst-case"))
+                         choices=("uniform", "adversarial-worst-case"))
     p_train.add_argument("--out", required=True)
     p_train.set_defaults(run=_cmd_train)
 

@@ -97,7 +97,6 @@ def j_bc(game: MarkovGame, demos: DemonstrationSet | None = None,
     without data are filled per ``fill_rule``:
 
     * 'uniform' - uniform over joint actions (default)
-    * 'copy-expert' - diagnostic: copy the expert row (needs ``expert``)
     * 'adversarial-worst-case' - greedy over one-hot rows, one unvisited
       state at a time, each keeping the regret-maximizing row given those
       before it; not the worst learner consistent with the data, since an
@@ -124,10 +123,6 @@ def j_bc(game: MarkovGame, demos: DemonstrationSet | None = None,
     missing = np.nonzero(~covered)[0]
     if fill_rule == "uniform" or missing.size == 0:
         pass
-    elif fill_rule == "copy-expert":
-        if expert is None:
-            raise ValueError("copy-expert fill needs the expert policy")
-        table[missing] = expert.table[missing]
     elif fill_rule == "adversarial-worst-case":
         devs = deviations if deviations is not None else DeviationClass.complete(game.num_agents)
         for s in missing:

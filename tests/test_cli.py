@@ -464,7 +464,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("algo, flag, value", [
         ("malice", "--fill-rule", "uniform"),
-        ("blades", "--fill-rule", "copy-expert"),
+        ("blades", "--fill-rule", "adversarial-worst-case"),
         ("jbc", "--demos", "20"),
         ("jirl", "--demos", "200"),
         ("jbc", "--rounds", "7"),
@@ -521,15 +521,16 @@ class TestVerify:
         assert main(["verify", "--suite", "thm3"]) == EXIT_OK
 
     def test_coverage_aliases(self):
-        assert main(["verify", "--suite", "thm5-lb"]) == EXIT_OK
-        assert main(["verify", "--suite", "thm6-lb"]) == EXIT_OK
+        assert main(["verify", "--suite", "coverage-lb"]) == EXIT_OK
 
     def test_alice_suites_pass(self):
-        assert main(["verify", "--suite", "thm8-lb"]) == EXIT_OK
-        assert main(["verify", "--suite", "thm10-lb"]) == EXIT_OK
+        assert main(["verify", "--suite", "alice-lb"]) == EXIT_OK
 
-    def test_unknown_suite_exit_2(self):
-        assert main(["verify", "--suite", "nosuch"]) == EXIT_USAGE
+    def test_unknown_suite_exit_2(self, capsys):
+        # an old suite name is no alias: it fails like any unknown name
+        for name in ("nosuch", "thm5-lb", "thm4-ce"):
+            assert main(["verify", "--suite", name]) == EXIT_USAGE
+            assert "coverage-lb" in capsys.readouterr().err
 
     def test_tolerance_is_not_an_option(self, capsys):
         # pinned checks: a tolerance flag would turn lemma1's by-design FAIL into a PASS

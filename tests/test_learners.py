@@ -75,11 +75,6 @@ class TestJBC:
         np.testing.assert_allclose(pol.table[1], np.full(A, 1 / A))
         np.testing.assert_array_equal(pol.table[0], fx.expert.table[0])
 
-    def test_copy_expert_fill(self):
-        fx = fig1_game(5)
-        pol = j_bc(fx.game, expert=fx.expert, fill_rule="copy-expert")
-        np.testing.assert_array_equal(pol.table, fx.expert.table)
-
     def test_adversarial_fill_realizes_worst_case(self):
         # the expert never visits the second fork; the adversarial fill there
         # must recreate the order-H regret gap
@@ -197,7 +192,7 @@ class TestMaliceTrain:
         assert row.round == 1 and row.step_size > 0
         assert isinstance(row.achieving_deviation, str)
 
-    def test_rule_picks_the_update_of_the_configured_rounds(self, monkeypatch):
+    def test_training_hands_oco_run_the_callers_config(self, monkeypatch):
         # training hands the caller's config to oco_run, and the same loss
         # builder run through oco_run with that config reproduces the
         # trained run bitwise
@@ -221,7 +216,7 @@ class TestMaliceTrain:
         assert res.best_round == ref.best_round + 1
         assert res.policy.table.tobytes() == ref.tables[ref.best_round].tobytes()
 
-    def test_unknown_rule_rejected_before_any_round(self):
+    def test_zero_rounds_rejected_before_any_round(self):
         # a config without rounds fails when it is built, so no round runs
         # and the expert is never queried
         fx = random_mg(13, n_states=3, horizon=3, full_coverage_expert=True)
